@@ -65,8 +65,12 @@ void report() {
     Prng flow_prng(9);
     const auto flows = sample_flows(topo, 64, flow_prng);
 
-    IdrpArchitecture idrp_wide(IdrpConfig{.routes_per_dest = 4});
-    IdrpArchitecture idrp_narrow(IdrpConfig{.routes_per_dest = 1});
+    IdrpConfig wide;
+    wide.routes_per_dest = 4;
+    IdrpConfig narrow;
+    narrow.routes_per_dest = 1;
+    IdrpArchitecture idrp_wide(wide);
+    IdrpArchitecture idrp_narrow(narrow);
     LshhArchitecture lshh;
     OrwgArchitecture orwg;
 

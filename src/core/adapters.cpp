@@ -2,20 +2,11 @@
 
 #include <unordered_set>
 
+#include "core/design_harness.hpp"
 #include "proto/ecma/partial_order.hpp"
 #include "util/check.hpp"
 
 namespace idr {
-namespace {
-
-// Per-AD stub/hybrid shaping shared by the adapters that must derive
-// policy from roles (the architectures that cannot read Policy Terms).
-bool is_stub_role(const Topology& topo, AdId ad) {
-  const AdRole role = topo.ad(ad).role;
-  return role == AdRole::kStub || role == AdRole::kMultiHomed;
-}
-
-}  // namespace
 
 // --- DV (RIP baseline) ---
 
@@ -114,14 +105,7 @@ void EcmaArchitecture::attach_nodes() {
   nodes_.clear();
   for (const Ad& ad : topo_.ads()) {
     EcmaConfig config;
-    config.stub = is_stub_role(topo_, ad.id);
-    if (ad.role == AdRole::kHybrid) {
-      // ECMA can express destination filters only: a hybrid AD serves
-      // transit solely toward its own neighbors.
-      for (const Adjacency& adj : topo_.neighbors(ad.id)) {
-        config.export_dsts.insert(adj.neighbor.v);
-      }
-    }
+    shape_ecma_role(config, topo_, ad.id);
     auto node = std::make_unique<EcmaNode>(&order_.order, std::move(config));
     nodes_.push_back(node.get());
     net_->attach(ad.id, std::move(node));

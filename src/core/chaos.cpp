@@ -8,10 +8,8 @@
 #include "core/design_harness.hpp"
 #include "core/scale_profile.hpp"
 #include "policy/generator.hpp"
-#include "proto/ecma/ecma_node.hpp"
+#include "proto/common/policy_dv_node.hpp"
 #include "proto/ecma/partial_order.hpp"
-#include "proto/idrp/idrp_node.hpp"
-#include "proto/lshh/lshh_node.hpp"
 #include "proto/orwg/orwg_node.hpp"
 #include "sim/failure.hpp"
 #include "topology/figure1.hpp"
@@ -474,37 +472,23 @@ ScaleChaosResult run_scale_chaos(const std::string& arch,
   const SimTime end_now = engine.now();
   for (const Ad& ad : topo.ads()) {
     Node* node = net.node(ad.id);
-    if (!node) continue;
-    FlapDamper* damper = nullptr;
-    if (arch == "ecma") {
-      auto* n = static_cast<EcmaNode*>(node);
-      damper = &n->damper();
-      result.gr_stale_flushed += n->gr_stale_flushed();
-      result.gr_resyncs += n->gr_resyncs();
-    } else if (arch == "idrp") {
-      auto* n = static_cast<IdrpNode*>(node);
-      damper = &n->damper();
-      result.gr_stale_flushed += n->gr_stale_flushed();
-      result.gr_resyncs += n->gr_resyncs();
-    } else if (arch == "ls-hbh") {
-      auto* n = static_cast<LshhNode*>(node);
-      result.ls_originations_suppressed += n->originations_suppressed();
-      result.gr_retained += n->gr_retained();
-      result.gr_resyncs += n->gr_resyncs();
-    } else if (arch == "orwg") {
-      auto* n = static_cast<OrwgNode*>(node);
-      result.ls_originations_suppressed += n->originations_suppressed();
-      result.gr_retained += n->gr_retained();
-      result.gr_resyncs += n->gr_resyncs();
-      result.gr_memoized += n->gr_memoized();
-    }
-    if (damper) {
-      const DampingStats& ds = damper->stats();
+    if (auto* dv = dynamic_cast<PolicyDvNode*>(node)) {
+      FlapDamper& damper = dv->damper();
+      const DampingStats& ds = damper.stats();
       result.flaps_recorded += ds.flaps;
       result.routes_suppressed += ds.suppress_events;
       result.routes_reused += ds.reuse_events;
       result.suppressed_ms_total += ds.suppressed_ms;
-      result.suppressed_at_end += damper->suppressed_count(end_now);
+      result.suppressed_at_end += damper.suppressed_count(end_now);
+      result.gr_stale_flushed += dv->gr_stale_flushed();
+      result.gr_resyncs += dv->gr_resyncs();
+    } else if (auto* ls = dynamic_cast<PolicyLsNode*>(node)) {
+      result.ls_originations_suppressed += ls->originations_suppressed();
+      result.gr_retained += ls->gr_retained();
+      result.gr_resyncs += ls->gr_resyncs();
+      if (auto* orwg = dynamic_cast<OrwgNode*>(ls)) {
+        result.gr_memoized += orwg->gr_memoized();
+      }
     }
   }
   return result;

@@ -98,7 +98,8 @@ struct ChaosParams {
   };
 
   // Periodic full-state refresh per node; bounds the staleness left by a
-  // lost/corrupted triggered update (see set_periodic_refresh).
+  // lost/corrupted triggered update (periodic_refresh_ms of each design
+  // point's config).
   double periodic_refresh_ms = 300.0;
 
   // Instantaneous link-state oracle. Off by default: failure detection is

@@ -108,6 +108,15 @@ bool is_stub_role(const Topology& topo, AdId ad) {
   return role == AdRole::kStub || role == AdRole::kMultiHomed;
 }
 
+void shape_ecma_role(EcmaConfig& config, const Topology& topo, AdId ad) {
+  config.stub = is_stub_role(topo, ad);
+  if (topo.ad(ad).role == AdRole::kHybrid) {
+    for (const Adjacency& adj : topo.neighbors(ad)) {
+      config.export_dsts.insert(adj.neighbor.v);
+    }
+  }
+}
+
 Network::NodeFactory make_design_factory(const std::string& arch,
                                          const Topology& topo,
                                          const PolicySet& policies,
@@ -121,37 +130,28 @@ Network::NodeFactory make_design_factory(const std::string& arch,
     IDR_CHECK_MSG(order != nullptr, "ecma factory needs the partial order");
     return [&topo, order, refresh, defended](AdId ad) -> std::unique_ptr<Node> {
       EcmaConfig ecma_config;
-      ecma_config.stub = is_stub_role(topo, ad);
+      shape_ecma_role(ecma_config, topo, ad);
       ecma_config.receiver_order_check = defended;
-      if (topo.ad(ad).role == AdRole::kHybrid) {
-        for (const Adjacency& adj : topo.neighbors(ad)) {
-          ecma_config.export_dsts.insert(adj.neighbor.v);
-        }
-      }
-      auto node =
-          std::make_unique<EcmaNode>(&order->order, std::move(ecma_config));
-      node->set_periodic_refresh(refresh);
-      return node;
+      ecma_config.periodic_refresh_ms = refresh;
+      return std::make_unique<EcmaNode>(&order->order, std::move(ecma_config));
     };
   }
   if (arch == "idrp") {
     return [&policies, refresh, defended](AdId) -> std::unique_ptr<Node> {
       IdrpConfig idrp_config;
       idrp_config.defend = defended;
-      auto node = std::make_unique<IdrpNode>(&policies, idrp_config);
-      node->set_periodic_refresh(refresh);
-      return node;
+      idrp_config.periodic_refresh_ms = refresh;
+      return std::make_unique<IdrpNode>(&policies, idrp_config);
     };
   }
   if (arch == "ls-hbh") {
     return [&policies, lsa_keys, refresh,
             defended](AdId) -> std::unique_ptr<Node> {
       LshhConfig lshh_config;
+      lshh_config.periodic_refresh_ms = refresh;
       lshh_config.lsa_keys = lsa_keys;
       lshh_config.registry = defended ? &policies : nullptr;
-      auto node = std::make_unique<LshhNode>(&policies, lshh_config);
-      node->set_periodic_refresh(refresh);
-      return node;
+      return std::make_unique<LshhNode>(&policies, lshh_config);
     };
   }
   if (arch == "orwg") {

@@ -25,6 +25,8 @@
 
 namespace idr {
 
+struct EcmaConfig;
+
 // The four design points every adversarial driver exercises.
 const std::vector<std::string>& design_point_names();
 [[nodiscard]] bool is_design_point(const std::string& arch);
@@ -32,6 +34,11 @@ const std::vector<std::string>& design_point_names();
 // Stub/multi-homed roles never transit (paper §2.1); shared by the
 // adapters that derive policy from roles.
 [[nodiscard]] bool is_stub_role(const Topology& topo, AdId ad);
+
+// ECMA's role shaping: stub/multi-homed ADs advertise only themselves,
+// and a hybrid AD -- ECMA can express destination filters only -- serves
+// transit solely toward its own neighbors.
+void shape_ecma_role(EcmaConfig& config, const Topology& topo, AdId ad);
 
 // Engine backend selection shared by the differential runner and the
 // scale benches: scheduler choice plus the optional sharded-parallel

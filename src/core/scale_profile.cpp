@@ -78,14 +78,6 @@ ScaleProfile make_scale_profile(std::uint32_t target_ads, std::uint64_t seed,
 
 Network::NodeFactory make_scale_factory(const std::string& arch,
                                         const ScaleProfile& profile,
-                                        double periodic_refresh_ms) {
-  ScaleFactoryOptions options;
-  options.periodic_refresh_ms = periodic_refresh_ms;
-  return make_scale_factory(arch, profile, options);
-}
-
-Network::NodeFactory make_scale_factory(const std::string& arch,
-                                        const ScaleProfile& profile,
                                         const ScaleFactoryOptions& options) {
   const ScaleProfile* p = &profile;
   const double refresh = options.periodic_refresh_ms;
@@ -96,14 +88,13 @@ Network::NodeFactory make_scale_factory(const std::string& arch,
     return [p, refresh, damping, gr](AdId ad) -> std::unique_ptr<Node> {
       EcmaConfig config;
       config.qos_mask = 1;  // single traffic class at scale
-      config.stub = is_stub_role(p->topo, ad);
+      shape_ecma_role(config, p->topo, ad);
       config.originate = p->is_beacon[ad.v] != 0;
       config.mrai_ms = 10.0;  // coalesce the per-beacon update waves
+      config.periodic_refresh_ms = refresh;
       config.damping = damping;
       config.gr = gr;
-      auto node = std::make_unique<EcmaNode>(&p->order.order, config);
-      node->set_periodic_refresh(refresh);
-      return node;
+      return std::make_unique<EcmaNode>(&p->order.order, config);
     };
   }
   if (arch == "idrp") {
@@ -113,22 +104,20 @@ Network::NodeFactory make_scale_factory(const std::string& arch,
       config.originate = p->is_beacon[ad.v] != 0;
       config.mrai_ms = 10.0;
       config.shared_updates = true;  // open terms: one encode per wave
+      config.periodic_refresh_ms = refresh;
       config.damping = damping;
       config.gr = gr;
-      auto node = std::make_unique<IdrpNode>(&p->policies, config);
-      node->set_periodic_refresh(refresh);
-      return node;
+      return std::make_unique<IdrpNode>(&p->policies, config);
     };
   }
   if (arch == "ls-hbh") {
     return [p, refresh, holddown, gr](AdId) -> std::unique_ptr<Node> {
       LshhConfig config;
       config.hierarchical = true;
+      config.periodic_refresh_ms = refresh;
       config.link_holddown_ms = holddown;
       config.gr = gr;
-      auto node = std::make_unique<LshhNode>(&p->policies, config);
-      node->set_periodic_refresh(refresh);
-      return node;
+      return std::make_unique<LshhNode>(&p->policies, config);
     };
   }
   if (arch == "orwg") {

@@ -50,25 +50,21 @@ struct ScaleProfile {
                                               std::uint64_t seed,
                                               std::uint32_t beacon_count = 64);
 
-// Node factory for one design point over the profile (profile must
-// outlive the factory). DV nodes originate only at beacons; LS nodes run
-// hierarchical. `periodic_refresh_ms` as in HarnessConfig (0 disables).
-[[nodiscard]] Network::NodeFactory make_scale_factory(
-    const std::string& arch, const ScaleProfile& profile,
-    double periodic_refresh_ms = 0.0);
-
 // Recovery knobs for the chaos-at-scale runs. Defaults reproduce the
 // plain factory exactly, so bench_scale baselines are unaffected.
 struct ScaleFactoryOptions {
-  double periodic_refresh_ms = 0.0;
+  double periodic_refresh_ms = 0.0;  // as in HarnessConfig (0 disables)
   DampingConfig damping;          // DV family (ECMA, IDRP)
   double ls_holddown_ms = 0.0;    // LS family (LS-HbH, ORWG)
   GrConfig gr;                    // graceful restart, all four families
 };
 
+// Node factory for one design point over the profile (profile must
+// outlive the factory). DV nodes originate only at beacons; LS nodes run
+// hierarchical.
 [[nodiscard]] Network::NodeFactory make_scale_factory(
     const std::string& arch, const ScaleProfile& profile,
-    const ScaleFactoryOptions& options);
+    const ScaleFactoryOptions& options = {});
 
 // Hierarchy-aware shard plan over the profile's topology: regional
 // subtrees stay whole (a region's metros and campuses ride with their

@@ -16,16 +16,8 @@ void EcmaNode::start() {
       e.best_down = Route{0, self(), true};
     }
   }
-  if (!rib_.empty()) broadcast();
+  if (!rib_.empty()) advertise();
   schedule_refresh();
-}
-
-void EcmaNode::schedule_refresh() {
-  if (periodic_refresh_ms_ <= 0.0) return;
-  schedule_guarded(periodic_refresh_ms_, [this] {
-    broadcast(MsgClass::kRefresh);
-    schedule_refresh();
-  });
 }
 
 bool EcmaNode::advertisable(AdId dst) const {
@@ -146,27 +138,22 @@ bool EcmaNode::defense_accepts(const SenderBound& bound, AdId from, AdId dst,
   return true;
 }
 
-void EcmaNode::broadcast(MsgClass cls) {
-  // encode_for ignores the neighbor (full-table updates, receiver-side
-  // usability filtering), so one encode serves every adjacency.
+void EcmaNode::advertise(MsgClass cls) {
   Payload payload;
-  for_each_live_neighbor([&](const Adjacency& adj) {
+  for (const Adjacency& adj : live_neighbors()) {
     if (!payload) payload = make_payload(encode_for(adj.neighbor));
     net().send(self(), adj.neighbor, payload, cls);
-  });
+  }
 }
 
-void EcmaNode::trigger_broadcast() {
-  if (config_.mrai_ms <= 0.0) {
-    broadcast();
-    return;
+bool EcmaNode::change_is_advertised(std::uint64_t k, bool flap) {
+  bool newly_suppressed = false;
+  if (flap && damper_.enabled()) {
+    newly_suppressed = damper_.note_flap(k, net().engine().now());
+    maybe_schedule_release_check();
   }
-  if (broadcast_scheduled_) return;
-  broadcast_scheduled_ = true;
-  schedule_guarded(config_.mrai_ms, [this] {
-    broadcast_scheduled_ = false;
-    broadcast();
-  });
+  return newly_suppressed || !damper_.enabled() ||
+         !damper_.would_suppress(k, net().engine().now());
 }
 
 void EcmaNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
@@ -276,24 +263,13 @@ void EcmaNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
                            entry.best_down.valid(config_.infinity);
     bool key_changed = apply(entry.best, cand.any);
     key_changed |= apply(entry.best_down, cand.down);
-    if (key_changed) {
-      // First learning a destination is not a flap (RFC 2439 shape):
-      // only changes to previously-valid state accrue penalty, so cold
-      // start converges penalty-free.
-      const bool newly_suppressed = had_route && note_route_flap(k);
-      // A change confined to an already-suppressed key does not alter
-      // what we advertise (the key encodes at infinity either way), so
-      // it must not trigger an update wave -- this is where damping cuts
-      // the flap cascade. The crossing INTO suppression still broadcasts
-      // once: that update is the withdrawal neighbors key off.
-      if (newly_suppressed || !damper_.enabled() ||
-          !damper_.would_suppress(k, net().engine().now())) {
-        changed = true;
-      }
-    }
+    // First learning a destination is not a flap (RFC 2439 shape): only
+    // changes to previously-valid state accrue penalty, so cold start
+    // converges penalty-free.
+    if (key_changed && change_is_advertised(k, had_route)) changed = true;
   }
 
-  if (changed) trigger_broadcast();
+  if (changed) trigger_advertise();
 
   // Repair heuristic: if the neighbor explicitly advertised a route
   // strictly worse than what we could offer it (+1 hop) -- typically a
@@ -339,10 +315,14 @@ void EcmaNode::on_link_change(AdId neighbor, bool up) {
       if (config_.gr.enabled) ++gr_resyncs_;
       net().send(self(), neighbor, encode_for(neighbor));
     } else {
-      broadcast();
+      advertise();
     }
     return;
   }
+  const auto via_neighbor = [&](const Route& slot) {
+    return slot.valid(config_.infinity) && slot.via == neighbor &&
+           slot.via != self();
+  };
   if (config_.gr.enabled && net().in_grace(neighbor)) {
     // Graceful restart: the neighbor crashed into a grace window. Keep
     // its routes in the FIB (its frozen data plane still forwards) but
@@ -352,97 +332,45 @@ void EcmaNode::on_link_change(AdId neighbor, bool up) {
     for (auto [k, entry] : rib_) {
       (void)k;
       for (Route* slot : {&entry.best, &entry.best_down}) {
-        if (slot->valid(config_.infinity) && slot->via == neighbor &&
-            slot->via != self()) {
-          slot->stale = true;
-          any = true;
-        }
+        if (!via_neighbor(*slot)) continue;
+        slot->stale = true;
+        any = true;
       }
     }
-    if (any) {
-      schedule_guarded(config_.gr.grace_ms + 0.1,
-                       [this, neighbor] { flush_stale(neighbor); });
-    }
+    if (any) schedule_stale_flush(neighbor);
     return;
   }
-  bool changed = false;
-  for (auto [k, entry] : rib_) {
-    bool key_changed = false;
-    for (Route* slot : {&entry.best, &entry.best_down}) {
-      if (slot->valid(config_.infinity) && slot->via == neighbor &&
-          slot->via != self()) {
-        slot->metric = config_.infinity;
-        key_changed = true;
-      }
-    }
-    if (key_changed) {
-      // Poisoned routes were valid by definition, so this is a flap; a
-      // crossing into suppression must still be broadcast (see above).
-      const bool newly_suppressed = note_route_flap(k);
-      if (newly_suppressed || !damper_.enabled() ||
-          !damper_.would_suppress(k, net().engine().now())) {
-        changed = true;
-      }
-    }
-  }
-  if (changed) broadcast(MsgClass::kWithdrawal);
+  poison(via_neighbor);
 }
 
 void EcmaNode::flush_stale(AdId neighbor) {
-  if (net().in_grace(neighbor)) {
-    // The neighbor crashed again and its grace window was extended;
-    // retry after the extension.
-    schedule_guarded(config_.gr.grace_ms + 0.1,
-                     [this, neighbor] { flush_stale(neighbor); });
-    return;
-  }
-  // Grace expired. If the neighbor resynced in time every stale flag was
-  // cleared by its refreshed advertisements and this is a no-op; what is
-  // still flagged was never re-advertised and gets the deferred poison.
+  // If the neighbor resynced in time every stale flag was cleared by its
+  // refreshed advertisements and this is a no-op; what is still flagged
+  // was never re-advertised and gets the deferred poison.
+  poison([&](Route& slot) {
+    if (!slot.stale || slot.via != neighbor) return false;
+    slot.stale = false;
+    ++gr_stale_flushed_;
+    return true;
+  });
+}
+
+template <typename Hit>
+void EcmaNode::poison(Hit&& hit) {
   bool changed = false;
   for (auto [k, entry] : rib_) {
     bool key_changed = false;
     for (Route* slot : {&entry.best, &entry.best_down}) {
-      if (slot->stale && slot->via == neighbor) {
-        slot->metric = config_.infinity;
-        slot->stale = false;
-        key_changed = true;
-        ++gr_stale_flushed_;
-      }
+      if (!hit(*slot)) continue;
+      slot->metric = config_.infinity;
+      key_changed = true;
     }
-    if (key_changed) {
-      const bool newly_suppressed = note_route_flap(k);
-      if (newly_suppressed || !damper_.enabled() ||
-          !damper_.would_suppress(k, net().engine().now())) {
-        changed = true;
-      }
+    // Poisoned routes were valid by definition, so this is a flap.
+    if (key_changed && change_is_advertised(k, /*flap=*/true)) {
+      changed = true;
     }
   }
-  if (changed) broadcast(MsgClass::kWithdrawal);
-}
-
-bool EcmaNode::note_route_flap(std::uint64_t k) {
-  if (!damper_.enabled()) return false;
-  const bool newly_suppressed = damper_.note_flap(k, net().engine().now());
-  maybe_schedule_release_check();
-  return newly_suppressed;
-}
-
-void EcmaNode::maybe_schedule_release_check() {
-  if (release_check_scheduled_) return;
-  const SimTime now = net().engine().now();
-  const SimTime eta = damper_.next_release_eta(now);
-  if (eta < 0.0) return;
-  // A hair past the analytic release time, so the encode that this timer
-  // triggers observes the key already below the reuse threshold.
-  release_check_scheduled_ = true;
-  schedule_guarded(std::max(eta - now, 0.0) + 0.1, [this] {
-    release_check_scheduled_ = false;
-    // Release directly: encode only queries keys still in the table, so
-    // the timer must not depend on it to clear due suppressions.
-    if (damper_.release_due(net().engine().now()) > 0) trigger_broadcast();
-    maybe_schedule_release_check();
-  });
+  if (changed) advertise(MsgClass::kWithdrawal);
 }
 
 std::optional<EcmaNode::Forwarding> EcmaNode::forward(AdId dst, Qos qos,

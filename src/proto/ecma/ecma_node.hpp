@@ -24,14 +24,18 @@
 
 #include "policy/flow.hpp"
 #include "policy/term.hpp"
-#include "proto/common/damping.hpp"
-#include "proto/common/node.hpp"
+#include "proto/common/policy_dv_node.hpp"
 #include "proto/ecma/partial_order.hpp"
 #include "util/dense_map.hpp"
 
 namespace idr {
 
-struct EcmaConfig {
+// The update-timing knobs come from PolicyDvConfig. Damping is per
+// (dst, qos): a suppressed key is advertised at infinity. With graceful
+// restart a crashed neighbor's routes are stale-flagged -- kept in the
+// FIB and excluded from re-advertisement -- instead of poisoned, and
+// whatever its resync has not refreshed by grace expiry is poisoned then.
+struct EcmaConfig : PolicyDvConfig {
   std::uint16_t infinity = 64;
   std::uint8_t qos_mask = kAllQosMask;  // QoS classes this AD supports
   // Destinations this AD will advertise transit for (empty = all).
@@ -52,41 +56,22 @@ struct EcmaConfig {
   // role (or a hybrid for a non-neighbor dst) violates its known role.
   // Rejections are counted via Network::note_defense_rejection.
   bool receiver_order_check = false;
-  // Min route advertisement interval: coalesce change-triggered
-  // broadcasts into one update per window (0 = advertise immediately,
-  // the historical behavior). At paper scale every beacon arrival would
-  // otherwise trigger a separate full-table broadcast.
-  double mrai_ms = 0.0;
-  // Route-flap damping (off by default): per-(dst, qos) penalty on every
-  // selected-route change; suppressed keys are advertised at infinity
-  // (local forwarding keeps the route) until the penalty decays to the
-  // reuse threshold, at which point a release timer re-advertises them.
-  DampingConfig damping;
-  // Graceful restart (off by default): when a neighbor crashes into a
-  // grace window, its routes are stale-flagged -- kept in the FIB and
-  // excluded from re-advertisement -- instead of poisoned; a guarded
-  // timer poisons whatever the neighbor's resync has not refreshed by
-  // grace expiry.
-  GrConfig gr;
 };
 
-class EcmaNode : public ProtoNode {
+// The update timing comes from PolicyDvNode; ECMA adds the two-slot
+// up/down RIB, the help heuristic and the receiver-side order check.
+class EcmaNode : public PolicyDvNode {
  public:
   // All nodes share one immutable PartialOrder (computed by the central
   // authority before the protocol starts -- the paper's deployment model).
   EcmaNode(const PartialOrder* order, EcmaConfig config)
-      : order_(order), config_(std::move(config)) {}
+      : PolicyDvNode(config.damping),
+        order_(order),
+        config_(std::move(config)) {}
 
   void start() override;
   void on_message(AdId from, std::span<const std::uint8_t> bytes) override;
   void on_link_change(AdId neighbor, bool up) override;
-
-  // Re-broadcast the full table every `ms` (0 disables, the default).
-  // Triggered updates ride an unreliable datagram service, so a lost (or
-  // checksum-discarded) update would otherwise leave a neighbor stale
-  // forever; the periodic refresh bounds that staleness. Call before
-  // attach/start.
-  void set_periodic_refresh(double ms) noexcept { periodic_refresh_ms_ = ms; }
 
   // Forwarding decision for a packet toward dst with the given QoS that
   // has (or has not) already traversed a down link. Returns the neighbor
@@ -101,17 +86,18 @@ class EcmaNode : public ProtoNode {
   [[nodiscard]] std::uint16_t distance(AdId dst, Qos qos) const;
   [[nodiscard]] std::size_t fib_entries() const noexcept;
   [[nodiscard]] const PartialOrder& order() const noexcept { return *order_; }
-  [[nodiscard]] FlapDamper& damper() noexcept { return damper_; }
-  // GR accounting: RIB slots poisoned at grace expiry resp. targeted
-  // resync tables sent to a recovered neighbor.
-  [[nodiscard]] std::uint64_t gr_stale_flushed() const noexcept {
-    return gr_stale_flushed_;
-  }
-  [[nodiscard]] std::uint64_t gr_resyncs() const noexcept {
-    return gr_resyncs_;
-  }
 
   static constexpr std::uint8_t kMsgUpdate = 1;
+
+ protected:
+  [[nodiscard]] const PolicyDvConfig& dv_config() const noexcept override {
+    return config_;
+  }
+  // encode_for ignores the neighbor (full-table updates, receiver-side
+  // usability filtering), so one encode serves every adjacency.
+  void advertise(MsgClass cls = MsgClass::kUpdate) override;
+  // Poisons the RIB slots still stale-flagged through `neighbor`.
+  void flush_stale(AdId neighbor) override;
 
  private:
   struct Route {
@@ -135,14 +121,17 @@ class EcmaNode : public ProtoNode {
            static_cast<std::uint8_t>(qos);
   }
 
-  void broadcast(MsgClass cls = MsgClass::kUpdate);
-  void trigger_broadcast();
-  void schedule_refresh();
-  void flush_stale(AdId neighbor);
-  // Returns true when this flap newly suppressed the key (see
-  // FlapDamper::note_flap): the crossing must still be broadcast.
-  bool note_route_flap(std::uint64_t k);
-  void maybe_schedule_release_check();
+  // Accounts a change to key `k` (a damping flap when `flap`) and returns
+  // whether it alters what we advertise: a change confined to an
+  // already-suppressed key does not (the key encodes at infinity either
+  // way) -- this is where damping cuts the flap cascade -- while the
+  // crossing INTO suppression does, since that update is the withdrawal
+  // neighbors key off.
+  bool change_is_advertised(std::uint64_t k, bool flap);
+  // Poisons every RIB slot `hit` selects; withdraws if that changed what
+  // we advertise.
+  template <typename Hit>
+  void poison(Hit&& hit);
   [[nodiscard]] bool advertisable(AdId dst) const;
   // Damping is consulted via the pure would_suppress only: all releases
   // are performed by the release timer, which always re-broadcasts.
@@ -168,12 +157,6 @@ class EcmaNode : public ProtoNode {
 
   const PartialOrder* order_;
   EcmaConfig config_;
-  FlapDamper damper_{config_.damping};
-  double periodic_refresh_ms_ = 0.0;
-  std::uint64_t gr_stale_flushed_ = 0;
-  std::uint64_t gr_resyncs_ = 0;
-  bool broadcast_scheduled_ = false;  // an MRAI window is already open
-  bool release_check_scheduled_ = false;  // a damping release timer is set
   // Struct-of-arrays FIB keyed by (dst, qos); contiguous iteration is the
   // encode hot path and insertion-order walks keep runs deterministic.
   DenseMap<std::uint64_t, Entry> rib_;

@@ -105,17 +105,6 @@ void IdrpNode::start() {
   schedule_refresh();
 }
 
-void IdrpNode::schedule_refresh() {
-  if (periodic_refresh_ms_ <= 0.0) return;
-  schedule_guarded(periodic_refresh_ms_, [this] {
-    // Bypass the identical-update suppression: the point of the refresh
-    // is to repair a neighbor that missed a triggered update.
-    last_sent_hash_.clear();
-    advertise(MsgClass::kRefresh);
-    schedule_refresh();
-  });
-}
-
 std::vector<std::uint8_t> IdrpNode::encode_for(AdId neighbor) {
   // A Byzantine/misconfigured AD lies at this advertisement point:
   //   * route leak -- learned routes are re-advertised with wide-open
@@ -241,6 +230,9 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) noexcept {
 }  // namespace
 
 void IdrpNode::advertise(MsgClass cls) {
+  // A refresh bypasses the identical-update suppression: its point is to
+  // repair a neighbor that missed a triggered update.
+  if (cls == MsgClass::kRefresh) last_sent_hash_.clear();
   // Shared fast path: with previous-hop-agnostic terms, encode_for only
   // depends on the neighbor through sender-side loop suppression, which
   // the receiver re-checks anyway (self-in-path rejection). One generic
@@ -275,19 +267,6 @@ void IdrpNode::advertise(MsgClass cls) {
     sent = hash;
     net().send(self(), adj.neighbor, std::move(update), cls);
   }
-}
-
-void IdrpNode::trigger_advertise() {
-  if (config_.mrai_ms <= 0.0) {
-    advertise();
-    return;
-  }
-  if (advertise_scheduled_) return;
-  advertise_scheduled_ = true;
-  schedule_guarded(config_.mrai_ms, [this] {
-    advertise_scheduled_ = false;
-    advertise();
-  });
 }
 
 void IdrpNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
@@ -398,26 +377,20 @@ void IdrpNode::on_link_change(AdId neighbor, bool up) {
     // just past grace expiry.
     if (adj_rib_in_.find(neighbor.v) &&
         stale_nbrs_.insert(neighbor.v).second) {
-      schedule_guarded(config_.gr.grace_ms + 0.1,
-                       [this, neighbor] { flush_stale(neighbor); });
+      schedule_stale_flush(neighbor);
     }
     return;
   }
-  last_sent_hash_.erase(neighbor.v);
-  adj_rib_in_.erase(neighbor.v);
-  reselect_and_maybe_advertise();
+  drop_neighbor(neighbor);
 }
 
 void IdrpNode::flush_stale(AdId neighbor) {
-  if (net().in_grace(neighbor)) {
-    // The neighbor crashed again and its grace window was extended;
-    // retry after the extension.
-    schedule_guarded(config_.gr.grace_ms + 0.1,
-                     [this, neighbor] { flush_stale(neighbor); });
-    return;
-  }
   if (stale_nbrs_.erase(neighbor.v) == 0) return;  // resynced in time
   ++gr_stale_flushed_;
+  drop_neighbor(neighbor);
+}
+
+void IdrpNode::drop_neighbor(AdId neighbor) {
   last_sent_hash_.erase(neighbor.v);
   adj_rib_in_.erase(neighbor.v);
   reselect_and_maybe_advertise();
@@ -530,24 +503,6 @@ void IdrpNode::note_dst_flaps() {
   }
   dst_sig_ = std::move(fresh_sigs);
   maybe_schedule_release_check();
-}
-
-void IdrpNode::maybe_schedule_release_check() {
-  if (release_check_scheduled_) return;
-  const SimTime now = net().engine().now();
-  const SimTime eta = damper_.next_release_eta(now);
-  if (eta < 0.0) return;
-  // A hair past the analytic release time, so the update this timer
-  // triggers observes the destination already below the reuse threshold.
-  release_check_scheduled_ = true;
-  schedule_guarded(std::max(eta - now, 0.0) + 0.1, [this] {
-    release_check_scheduled_ = false;
-    // Release directly: encode only queries destinations still in the
-    // loc-RIB, so the timer must not depend on it to clear due
-    // suppressions.
-    if (damper_.release_due(net().engine().now()) > 0) trigger_advertise();
-    maybe_schedule_release_check();
-  });
 }
 
 std::optional<AdId> IdrpNode::forward(const FlowSpec& flow, AdId prev) const {

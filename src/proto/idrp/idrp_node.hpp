@@ -24,8 +24,7 @@
 #include "policy/database.hpp"
 #include "policy/flow.hpp"
 #include "policy/term.hpp"
-#include "proto/common/damping.hpp"
-#include "proto/common/node.hpp"
+#include "proto/common/policy_dv_node.hpp"
 #include "util/dense_map.hpp"
 
 namespace idr {
@@ -63,7 +62,14 @@ struct IdrpRoute {
   static std::optional<IdrpRoute> decode(wire::Reader& r);
 };
 
-struct IdrpConfig {
+// The update-timing knobs come from PolicyDvConfig. Damping is per
+// destination: a suppressed destination is omitted from updates
+// (implicit withdrawal). With graceful restart a crashed neighbor's
+// Adj-RIB-in is retained (no reselect, so the identical-update
+// suppression keeps downstream quiet) instead of erased, until a fresh
+// full-table update from the resynced neighbor replaces it or grace
+// expires.
+struct IdrpConfig : PolicyDvConfig {
   // Max routes retained/advertised per destination (paper: must grow with
   // policy granularity for sources to keep finding usable routes).
   std::uint32_t routes_per_dest = 4;
@@ -80,44 +86,25 @@ struct IdrpConfig {
   // beacon ADs originate (all-pairs path-vector state is infeasible at
   // 1e5 ADs); every AD still re-advertises and carries transit.
   bool originate = true;
-  // Min route advertisement interval: coalesce change-triggered
-  // advertisements into one update per window (0 = immediate, the
-  // historical behavior).
-  double mrai_ms = 0.0;
   // When our own Policy Terms are previous-hop-agnostic, every neighbor
   // off the advertised paths receives a byte-identical update; encode it
   // once and share the payload (paper scale: a regional AD has ~1e3 stub
   // neighbors). Off by default to keep per-neighbor encode exact.
   bool shared_updates = false;
-  // Route-flap damping (off by default): per-destination penalty on
-  // every selected-route-set change; suppressed destinations are omitted
-  // from updates (implicit withdrawal) while local forwarding keeps
-  // them, until the penalty decays to the reuse threshold.
-  DampingConfig damping;
-  // Graceful restart (off by default): when a neighbor crashes into a
-  // grace window, its Adj-RIB-in is retained (no reselect, so the
-  // identical-update suppression keeps downstream quiet) instead of
-  // erased; a guarded timer erases it at grace expiry unless a fresh
-  // full-table update from the resynced neighbor replaced it first.
-  GrConfig gr;
 };
 
-class IdrpNode : public ProtoNode {
+// The update timing comes from PolicyDvNode; IDRP adds the path-vector
+// RIBs, Policy Term export, the defence clamp and shared updates.
+class IdrpNode : public PolicyDvNode {
  public:
   // `policies` is the global PolicySet; each node reads ONLY its own
   // terms from it (its configured import/export policy).
   IdrpNode(const PolicySet* policies, IdrpConfig config = {})
-      : policies_(policies), config_(config) {}
+      : PolicyDvNode(config.damping), policies_(policies), config_(config) {}
 
   void start() override;
   void on_message(AdId from, std::span<const std::uint8_t> bytes) override;
   void on_link_change(AdId neighbor, bool up) override;
-
-  // Re-send the full Adj-RIB-out to every neighbor every `ms` (0 disables,
-  // the default), bypassing the identical-update suppression: a triggered
-  // update lost on the unreliable datagram service would otherwise leave
-  // the neighbor stale forever. Call before attach/start.
-  void set_periodic_refresh(double ms) noexcept { periodic_refresh_ms_ = ms; }
 
   // Forwarding: first selected route for dst whose attributes permit the
   // flow, whose next hop is reachable and -- when we are a transit AD for
@@ -138,15 +125,6 @@ class IdrpNode : public ProtoNode {
   [[nodiscard]] std::size_t loc_rib_routes() const noexcept;
   [[nodiscard]] std::size_t adj_rib_routes() const noexcept;
   [[nodiscard]] std::size_t routes_for(AdId dst) const;
-  [[nodiscard]] FlapDamper& damper() noexcept { return damper_; }
-  // GR accounting: neighbor RIBs erased at grace expiry resp. full-table
-  // resyncs advertised toward a recovered neighbor.
-  [[nodiscard]] std::uint64_t gr_stale_flushed() const noexcept {
-    return gr_stale_flushed_;
-  }
-  [[nodiscard]] std::uint64_t gr_resyncs() const noexcept {
-    return gr_resyncs_;
-  }
 
   static constexpr std::uint8_t kMsgUpdate = 1;
 
@@ -154,15 +132,20 @@ class IdrpNode : public ProtoNode {
   [[nodiscard]] const PolicySet& policies() const noexcept {
     return *policies_;
   }
+  [[nodiscard]] const PolicyDvConfig& dv_config() const noexcept override {
+    return config_;
+  }
+  // Per-neighbor full tables, each sent only when it differs from the
+  // last one that neighbor got; a refresh resends them all.
+  void advertise(MsgClass cls = MsgClass::kUpdate) override;
+  // Erases `neighbor`'s Adj-RIB-in unless its resync replaced it in time.
+  void flush_stale(AdId neighbor) override;
 
  private:
   void reselect_and_maybe_advertise();
-  void advertise(MsgClass cls = MsgClass::kUpdate);
-  void trigger_advertise();
-  void schedule_refresh();
-  void flush_stale(AdId neighbor);
+  // Forget everything `neighbor` told us and reselect.
+  void drop_neighbor(AdId neighbor);
   void note_dst_flaps();
-  void maybe_schedule_release_check();
   // Defense filter for one received route (config_.defend only): checks
   // neighbor consistency and clamps to the sender's registered terms,
   // appending the surviving copies to `kept`.
@@ -175,10 +158,6 @@ class IdrpNode : public ProtoNode {
 
   const PolicySet* policies_;
   IdrpConfig config_;
-  FlapDamper damper_{config_.damping};
-  double periodic_refresh_ms_ = 0.0;
-  std::uint64_t gr_stale_flushed_ = 0;
-  std::uint64_t gr_resyncs_ = 0;
   // Neighbors whose Adj-RIB-in is graceful-restart stale (retained while
   // the neighbor restarts; awaiting a resync update or the flush timer).
   std::unordered_set<std::uint32_t> stale_nbrs_;
@@ -188,8 +167,6 @@ class IdrpNode : public ProtoNode {
   // loc-RIB: selected routes per destination.
   DenseMap<std::uint32_t, std::vector<IdrpRoute>> loc_rib_;
   std::uint64_t last_advertised_signature_ = 0;
-  bool advertise_scheduled_ = false;  // an MRAI window is already open
-  bool release_check_scheduled_ = false;  // a damping release timer is set
   // Per-destination signature of the selected route set, maintained only
   // while damping is enabled (change = one flap for that destination).
   DenseMap<std::uint32_t, std::uint64_t> dst_sig_;

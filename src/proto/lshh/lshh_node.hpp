@@ -17,63 +17,31 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "policy/database.hpp"
-#include "proto/common/node.hpp"
-#include "proto/orwg/lsdb.hpp"
+#include "proto/orwg/policy_ls_node.hpp"
 #include "util/dense_map.hpp"
 
 namespace idr {
 
-struct LshhConfig {
-  // Origin-authentication keys, indexed by AdId (nullptr = auth off).
-  // With auth on, every received LSA's toy MAC is verified against the
-  // *origin's* key: a forged LSA signed by the liar's own key -- or a
-  // re-flooded LSA whose content was tampered with in transit -- is
-  // rejected and counted (lsas_rejected_auth + note_defense_rejection).
-  const std::vector<std::uint64_t>* lsa_keys = nullptr;
+struct LshhConfig : PolicyLsConfig {
   // Registered ground-truth policy for transit permission during path
   // synthesis (nullptr = trust the terms advertised in LSAs). This is
   // the route-leak defense: an AD cannot widen its transit policy by
   // advertising terms it never registered.
   const PolicySet* registry = nullptr;
-  // Paper-scale hierarchical mode (§2: ~1e5 ADs, ~1e2 transit ADs): only
-  // transit ADs originate LSAs (listing their attached stubs), floods
-  // skip stub neighbors, stubs default-route to their lowest-id live
-  // transit neighbor, and transit ADs route between stub *attachments*
-  // over the transit-only database. The database and every FIB stay
-  // O(transit ADs) instead of O(all ADs).
-  bool hierarchical = false;
-  // Hold-down for link-change-triggered re-origination (0 = immediate,
-  // the historical behavior). Link transitions within the window
-  // coalesce into at most one origination, and a window that ends with
-  // LSA content identical to the database copy (the link flapped down
-  // and back) re-floods nothing at all -- the re-flood scoping that
-  // keeps a flapping access link from re-flooding the transit core per
-  // transition. Periodic refresh bypasses this (it must bump seq).
-  double link_holddown_ms = 0.0;
-  // Graceful restart (off by default): a neighbor that crashes into a
-  // grace window stays in live_neighbors() (Node::neighbor_alive treats
-  // in-grace as up), so the adjacency is *retained* -- no re-origination,
-  // no network-wide re-flood -- until either the restarted neighbor's
-  // link-up resync or the guarded post-grace re-examination drops it.
-  GrConfig gr;
 };
 
-class LshhNode : public ProtoNode {
+// The link-state control plane comes from PolicyLsNode; LS-HbH adds the
+// per-flow path cache, hop-by-hop synthesis, the published source
+// policy and the re-flood tamper misbehavior.
+class LshhNode : public PolicyLsNode {
  public:
   explicit LshhNode(const PolicySet* policies, LshhConfig config = {})
-      : policies_(policies), config_(config) {}
+      : PolicyLsNode(policies, /*publishes_source_policy=*/true),
+        config_(config) {}
 
-  void start() override;
-  void on_message(AdId from, std::span<const std::uint8_t> bytes) override;
   void on_link_change(AdId neighbor, bool up) override;
-
-  // Re-originate our LSA every `ms` (0 disables, the default). The fresh
-  // sequence number re-floods network-wide, repairing any database hole a
-  // lost or corrupted flood left behind. Call before attach/start.
-  void set_periodic_refresh(double ms) noexcept { periodic_refresh_ms_ = ms; }
 
   // Hop-by-hop forwarding decision for a packet of `flow` currently at
   // this AD: recompute (or fetch from the per-flow cache) the globally
@@ -82,7 +50,6 @@ class LshhNode : public ProtoNode {
   // inconsistency case -- the packet is dropped).
   [[nodiscard]] std::optional<AdId> forward(const FlowSpec& flow);
 
-  [[nodiscard]] const PolicyLsdb& lsdb() const noexcept { return lsdb_; }
   [[nodiscard]] std::uint64_t path_computations() const noexcept {
     return path_computations_;
   }
@@ -95,22 +62,12 @@ class LshhNode : public ProtoNode {
   [[nodiscard]] std::uint64_t total_expansions() const noexcept {
     return total_expansions_;
   }
-  [[nodiscard]] std::uint64_t lsas_rejected_auth() const noexcept {
-    return lsas_rejected_auth_;
-  }
-  [[nodiscard]] std::uint64_t originations_suppressed() const noexcept {
-    return originations_suppressed_;
-  }
-  // GR accounting: adjacency retentions entered on a neighbor crash resp.
-  // database resyncs pushed to a recovered neighbor.
-  [[nodiscard]] std::uint64_t gr_retained() const noexcept {
-    return gr_retained_;
-  }
-  [[nodiscard]] std::uint64_t gr_resyncs() const noexcept {
-    return gr_resyncs_;
-  }
 
-  static constexpr std::uint8_t kMsgLsa = 1;
+ protected:
+  [[nodiscard]] const PolicyLsConfig& ls_config() const noexcept override {
+    return config_;
+  }
+  void reflood(const PolicyLsa& lsa, AdId from) override;
 
  private:
   struct CacheEntry {
@@ -123,19 +80,10 @@ class LshhNode : public ProtoNode {
     std::uint64_t live_epoch = 0;
   };
 
-  void originate_lsa(MsgClass cls = MsgClass::kUpdate);
-  void originate_if_changed();
-  void forge_victim_lsa();
-  void sign_lsa(PolicyLsa& lsa) const;
-  void flood_lsa(const PolicyLsa& lsa, AdId except,
-                 MsgClass cls = MsgClass::kUpdate);
-  void schedule_refresh();
-  [[nodiscard]] bool is_transit() const { return topo().can_transit(self()); }
-  // Transit AD a stub rides on: the lowest origin listing it as attached
-  // (every transit AD computes the same owner from the same database,
-  // which is what keeps hierarchical hop-by-hop forwarding consistent).
-  [[nodiscard]] AdId attachment(AdId ad);
-  [[nodiscard]] std::optional<AdId> flat_next(const FlowSpec& flow);
+  // Our successor on the path the source of `flow` computes: same
+  // database, same deterministic search, same (published) selection
+  // criteria.
+  [[nodiscard]] std::optional<AdId> agreed_next(const FlowSpec& flow);
   [[nodiscard]] std::optional<AdId> hierarchical_next(const FlowSpec& flow);
   [[nodiscard]] static std::uint64_t cache_key(const FlowSpec& flow) noexcept {
     // Source-specific key: hop-by-hop policy routing cannot collapse
@@ -145,24 +93,12 @@ class LshhNode : public ProtoNode {
            traffic_class_of(flow).index();
   }
 
-  const PolicySet* policies_;
   LshhConfig config_;
-  PolicyLsdb lsdb_;
-  double periodic_refresh_ms_ = 0.0;
-  std::uint32_t my_seq_ = 0;
-  bool holddown_scheduled_ = false;  // a hold-down window is already open
-  std::uint64_t live_epoch_ = 0;     // bumped on every on_link_change
-  std::uint64_t originations_suppressed_ = 0;
-  std::uint64_t gr_retained_ = 0;
-  std::uint64_t gr_resyncs_ = 0;
+  std::uint64_t live_epoch_ = 0;  // bumped on every on_link_change
   DenseMap<std::uint64_t, CacheEntry> cache_;
-  // Lazily rebuilt stub -> owning transit AD index (hierarchical mode).
-  DenseMap<std::uint32_t, std::uint32_t> attach_;
-  std::uint64_t attach_version_ = ~0ull;
   std::uint64_t path_computations_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t total_expansions_ = 0;
-  std::uint64_t lsas_rejected_auth_ = 0;
 };
 
 }  // namespace idr

@@ -27,6 +27,8 @@ namespace idr {
 struct PolicyLsaAdjacency {
   AdId neighbor;
   std::uint32_t metric = 1;
+  friend bool operator==(const PolicyLsaAdjacency&,
+                         const PolicyLsaAdjacency&) = default;
 };
 
 struct PolicyLsa {

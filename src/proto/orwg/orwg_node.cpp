@@ -42,164 +42,16 @@ std::vector<AdId> decode_path(wire::Reader& r) {
 }  // namespace
 
 void OrwgNode::start() {
-  gateway_ = std::make_unique<PolicyGateway>(self(), &topo(), policies_);
+  gateway_ = std::make_unique<PolicyGateway>(self(), &topo(), &policies());
   route_server_ = std::make_unique<RouteServer>(
-      self(), &lsdb_, topo().ad_count(), &policies_->source_policy(self()),
+      self(), &lsdb(), topo().ad_count(), &policies().source_policy(self()),
       config_.route_server);
-  originate_lsa();
-  schedule_refresh();
-}
-
-void OrwgNode::schedule_refresh() {
-  if (config_.periodic_refresh_ms <= 0.0) return;
-  schedule_guarded(config_.periodic_refresh_ms, [this] {
-    originate_lsa(MsgClass::kRefresh);
-    schedule_refresh();
-  });
-}
-
-void OrwgNode::sign_lsa(PolicyLsa& lsa) const {
-  // Signed with OUR key whatever the LSA claims as origin, so a forged
-  // victim-LSA carries a tag the victim's key cannot verify.
-  if (config_.lsa_keys && self().v < config_.lsa_keys->size()) {
-    lsa.auth = lsa_auth_tag(lsa, (*config_.lsa_keys)[self().v]);
-  }
-}
-
-void OrwgNode::originate_lsa(MsgClass cls) {
-  // Hierarchical mode: stubs are silent; their reachability rides on the
-  // attachment listings in their transit neighbors' LSAs.
-  if (config_.hierarchical && !is_transit()) return;
-  PolicyLsa lsa;
-  lsa.origin = self();
-  lsa.seq = ++my_seq_;
-  for (const Adjacency& adj : live_neighbors()) {
-    if (config_.hierarchical && !topo().can_transit(adj.neighbor)) {
-      lsa.attached_stubs.push_back(adj.neighbor);
-      continue;
-    }
-    lsa.adjacencies.push_back(
-        PolicyLsaAdjacency{adj.neighbor, topo().link(adj.link).metric});
-  }
-  const auto terms = policies_->terms(self());
-  lsa.terms.assign(terms.begin(), terms.end());
-  // Source route-selection criteria stay private (contrast LSHH).
-  const Misbehavior mis = net().active_misbehavior(self());
-  if (mis == Misbehavior::kRouteLeak) {
-    // Route leak: advertise unconditional transit in place of the
-    // registered terms, attracting other sources' Policy Routes.
-    lsa.terms.clear();
-    lsa.terms.push_back(open_transit_term(self(), 999));
-  }
-  sign_lsa(lsa);
-  lsdb_.insert(lsa);
-  flood_lsa(lsa, kNoAd, cls);
-  if (mis == Misbehavior::kFalseOrigin) forge_victim_lsa();
-}
-
-void OrwgNode::originate_if_changed() {
-  // Hold-down re-flood scoping: a window that ends with the same link
-  // view the database already describes (the link flapped down and back)
-  // originates nothing -- no seq bump, no network-wide re-flood.
-  if (config_.hierarchical && !is_transit()) return;
-  if (const PolicyLsa* current = lsdb_.get(self())) {
-    std::vector<PolicyLsaAdjacency> adjs;
-    std::vector<AdId> stubs;
-    for (const Adjacency& adj : live_neighbors()) {
-      if (config_.hierarchical && !topo().can_transit(adj.neighbor)) {
-        stubs.push_back(adj.neighbor);
-        continue;
-      }
-      adjs.push_back(
-          PolicyLsaAdjacency{adj.neighbor, topo().link(adj.link).metric});
-    }
-    const bool same =
-        adjs.size() == current->adjacencies.size() &&
-        stubs.size() == current->attached_stubs.size() &&
-        std::equal(adjs.begin(), adjs.end(), current->adjacencies.begin(),
-                   [](const PolicyLsaAdjacency& a,
-                      const PolicyLsaAdjacency& b) {
-                     return a.neighbor == b.neighbor && a.metric == b.metric;
-                   }) &&
-        std::equal(stubs.begin(), stubs.end(),
-                   current->attached_stubs.begin());
-    if (same) {
-      ++originations_suppressed_;
-      return;
-    }
-  }
-  originate_lsa();
-}
-
-void OrwgNode::forge_victim_lsa() {
-  // LS origin forgery (hijack): flood an LSA claiming to BE the victim,
-  // sequence-leapfrogged past the victim's fight-back, with no
-  // adjacencies -- every undefended route server drops the victim from
-  // its map.
-  const AdId victim = net().misbehavior_victim(self());
-  if (!victim.valid() || victim == self()) return;
-  PolicyLsa forged;
-  forged.origin = victim;
-  const PolicyLsa* have = lsdb_.get(victim);
-  forged.seq = (have ? have->seq : 0) + 64;
-  sign_lsa(forged);  // our key, not the victim's -- detectably wrong
-  lsdb_.insert(forged);
-  flood_lsa(forged, kNoAd);
-}
-
-void OrwgNode::accept_lsa(PolicyLsa lsa, AdId from) {
-  if (config_.lsa_keys) {
-    if (lsa.origin.v >= config_.lsa_keys->size() ||
-        lsa.auth != lsa_auth_tag(lsa, (*config_.lsa_keys)[lsa.origin.v])) {
-      ++lsas_rejected_auth_;
-      net().note_defense_rejection(self());
-      return;
-    }
-  }
-  if (lsa.origin == self()) {
-    // Sequence-number recovery after a cold restart: our own pre-crash
-    // LSA came back ahead of our (reset) counter. Strictly greater: an
-    // echo of our current instance must not re-trigger origination.
-    if (lsa.seq > my_seq_) {
-      my_seq_ = lsa.seq;
-      originate_lsa();
-    }
-    return;
-  }
-  if (const PolicyLsa* have = lsdb_.get(lsa.origin);
-      have && lsa.seq < have->seq && from.valid()) {
-    // Answer a stale copy with the newer database copy (OSPF's rule).
-    // This is what makes cold-restart recovery robust on an unreliable
-    // service: if the one-shot DB sync carrying the origin's pre-crash
-    // LSA is lost, every periodic refresh it sends at a low sequence
-    // number re-triggers this reply until fight-back succeeds.
-    wire::Writer w;
-    w.u8(kMsgLsa);
-    have->encode(w);
-    send_pdu(from, std::move(w));
-    return;
-  }
-  if (lsdb_.insert(lsa)) flood_lsa(lsa, from);
+  PolicyLsNode::start();
 }
 
 void OrwgNode::flood_lsa(const PolicyLsa& lsa, AdId except, MsgClass cls) {
   if (config_.lsa_batch_ms <= 0.0) {
-    wire::Writer w;
-    w.u8(kMsgLsa);
-    lsa.encode(w);
-    if (!config_.hierarchical) {
-      send_to_neighbors(w.bytes(), except, cls);
-      return;
-    }
-    // Stub-suppressed flooding: the flood only visits the transit
-    // subgraph (stubs keep no database).
-    Payload payload;
-    for_each_live_neighbor([&](const Adjacency& adj) {
-      if (adj.neighbor == except) return;
-      if (!topo().can_transit(adj.neighbor)) return;
-      if (!payload) payload = make_payload(w.bytes());
-      net().send(self(), adj.neighbor, payload, cls);
-    });
+    PolicyLsNode::flood_lsa(lsa, except, cls);
     return;
   }
   pending_floods_.emplace_back(lsa, except);
@@ -232,44 +84,6 @@ void OrwgNode::flush_pending_floods() {
   }
 }
 
-void OrwgNode::on_link_change(AdId neighbor, bool up) {
-  if (!up && config_.gr.enabled && net().in_grace(neighbor)) {
-    // Graceful restart: the in-grace neighbor still counts as alive, so
-    // re-originating now would change nothing -- skip it (database and
-    // route-server cache stay frozen) and re-examine just past grace
-    // expiry. A resync-in-time makes the re-examination a no-op; a
-    // re-crash arms a later timer covering the extended window.
-    ++gr_retained_;
-    schedule_guarded(config_.gr.grace_ms + 0.1,
-                     [this] { originate_if_changed(); });
-    return;
-  }
-  if (up && config_.gr.enabled) ++gr_resyncs_;
-  if (config_.link_holddown_ms > 0.0) {
-    if (!holddown_scheduled_) {
-      holddown_scheduled_ = true;
-      schedule_guarded(config_.link_holddown_ms, [this] {
-        holddown_scheduled_ = false;
-        originate_if_changed();
-      });
-    }
-  } else {
-    originate_lsa();
-  }
-  if (config_.hierarchical && !topo().can_transit(neighbor)) return;
-  if (up && neighbor.valid()) {
-    // DB sync for a neighbor that just (re)appeared, so a cold-restarted
-    // route server rebuilds the full map instead of only hearing future
-    // changes.
-    lsdb_.for_each([&](const PolicyLsa& lsa) {
-      wire::Writer w;
-      w.u8(kMsgLsa);
-      lsa.encode(w);
-      send_pdu(neighbor, std::move(w));
-    });
-  }
-}
-
 // --- Policy Route establishment ---------------------------------------------
 
 void OrwgNode::note_gr_cache_hit(bool from_cache) {
@@ -279,29 +93,27 @@ void OrwgNode::note_gr_cache_hit(bool from_cache) {
 }
 
 bool OrwgNode::establish_pr(const FlowSpec& flow, PendingPr pending) {
-  std::optional<std::vector<AdId>> route_path;
-  if (config_.hierarchical) {
-    route_path = policy_route(flow);
-  } else if (const auto route = route_server_->route(flow)) {
-    note_gr_cache_hit(route->from_cache);
-    route_path = route->path;
-  }
+  std::optional<std::vector<AdId>> route_path = policy_route(flow);
   if (!route_path || route_path->size() < 2) {
     ++route_failures_;
     return false;
   }
+  start_setup(flow, std::move(*route_path), std::move(pending));
+  return true;
+}
+
+void OrwgNode::start_setup(const FlowSpec& flow, std::vector<AdId> path,
+                           PendingPr pending) {
   const PrHandle handle{(static_cast<std::uint64_t>(self().v) << 32) |
                         ++next_handle_};
-  const auto verdict =
-      gateway_->validate_and_install(handle, flow, *route_path, 0);
+  const auto verdict = gateway_->validate_and_install(handle, flow, path, 0);
   IDR_CHECK(verdict == PolicyGateway::Verdict::kAccepted);
   pending.flow = flow;
-  pending.path = std::move(*route_path);
+  pending.path = std::move(path);
   pending.setup_sent_at = net().engine().now();
   pending_[handle.v] = std::move(pending);
   transmit_setup(handle);
   schedule_setup_retry(handle);
-  return true;
 }
 
 void OrwgNode::transmit_setup(PrHandle handle) {
@@ -389,21 +201,14 @@ std::optional<std::vector<AdId>> OrwgNode::policy_route(
   if (config_.hierarchical) {
     if (is_transit()) return hierarchical_route(flow);
     // A stub has no database; its route-server query goes to its transit
-    // parent (lowest-id live transit neighbor -- the same deterministic
-    // choice every other AD derives from the attachment rule).
-    std::optional<AdId> parent;
-    for (const Adjacency& adj : live_neighbors()) {
-      if (adj.neighbor == flow.dst) return std::vector<AdId>{self(), flow.dst};
-      if (topo().can_transit(adj.neighbor) &&
-          (!parent || adj.neighbor < *parent)) {
-        parent = adj.neighbor;
-      }
-    }
-    if (!parent) return std::nullopt;
+    // parent.
+    const std::optional<AdId> hop = stub_next_hop(flow.dst);
+    if (!hop) return std::nullopt;
+    if (*hop == flow.dst) return std::vector<AdId>{self(), flow.dst};
     // forwarding_node: during the parent's grace window the query is
     // answered by its frozen pre-crash instance -- the route server
     // serving memoized synthesis from the stale snapshot.
-    auto* p = static_cast<OrwgNode*>(net().forwarding_node(*parent));
+    auto* p = static_cast<OrwgNode*>(net().forwarding_node(*hop));
     if (!p) return std::nullopt;
     return p->hierarchical_route(flow);
   }
@@ -411,22 +216,6 @@ std::optional<std::vector<AdId>> OrwgNode::policy_route(
   if (!route) return std::nullopt;
   note_gr_cache_hit(route->from_cache);
   return route->path;
-}
-
-AdId OrwgNode::attachment(AdId ad) {
-  if (lsdb_.get(ad)) return ad;  // transit ADs own themselves
-  if (attach_version_ != lsdb_.version()) {
-    attach_.clear();
-    lsdb_.for_each([&](const PolicyLsa& lsa) {
-      for (AdId stub : lsa.attached_stubs) {
-        auto [owner, inserted] = attach_.try_emplace(stub.v, lsa.origin.v);
-        if (!inserted && lsa.origin.v < owner) owner = lsa.origin.v;
-      }
-    });
-    attach_version_ = lsdb_.version();
-  }
-  const std::uint32_t* owner = attach_.find(ad.v);
-  return owner ? AdId{*owner} : kNoAd;
 }
 
 std::optional<std::vector<AdId>> OrwgNode::hierarchical_route(
@@ -517,39 +306,14 @@ void OrwgNode::fail_active_pr(PrHandle handle, AdId report_from,
   const auto repaired = route_server_->route_avoiding(flow, {&dead, 1});
   if (!repaired) return;
   ++pr_repairs_;
-  const PrHandle fresh{(static_cast<std::uint64_t>(self().v) << 32) |
-                       ++next_handle_};
-  const auto verdict =
-      gateway_->validate_and_install(fresh, flow, repaired->path, 0);
-  IDR_CHECK(verdict == PolicyGateway::Verdict::kAccepted);
-  PendingPr pending;
-  pending.flow = flow;
-  pending.path = repaired->path;
-  pending.setup_sent_at = net().engine().now();
-  pending_[fresh.v] = std::move(pending);
-  transmit_setup(fresh);
-  schedule_setup_retry(fresh);
+  start_setup(flow, repaired->path, PendingPr{});
 }
 
 // --- Message dispatch ---------------------------------------------------------
 
-void OrwgNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
-  wire::Reader r(bytes);
-  const std::uint8_t type = r.u8();
-  if (!r.ok()) {
-    drop_malformed();
-    return;
-  }
+void OrwgNode::on_other_message(std::uint8_t type, AdId from,
+                                wire::Reader& r) {
   switch (type) {
-    case kMsgLsa: {
-      auto lsa = PolicyLsa::decode(r);
-      if (!lsa.has_value()) {
-        drop_malformed();
-        return;
-      }
-      accept_lsa(std::move(*lsa), from);
-      break;
-    }
     case kMsgLsaBatch: {
       // Decode the whole batch before accepting any LSA from it: a batch
       // truncated mid-LSA must not partially apply.
@@ -589,8 +353,7 @@ void OrwgNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
       handle_error(r);
       break;
     default:
-      // Unknown message type (stray or bit-flipped frame): count + drop.
-      drop_malformed();
+      PolicyLsNode::on_other_message(type, from, r);
   }
 }
 

@@ -24,15 +24,18 @@
 #include <vector>
 
 #include "policy/database.hpp"
-#include "proto/common/node.hpp"
-#include "proto/orwg/lsdb.hpp"
 #include "proto/orwg/policy_gateway.hpp"
+#include "proto/orwg/policy_ls_node.hpp"
 #include "proto/orwg/route_server.hpp"
 #include "util/stats.hpp"
 
 namespace idr {
 
-struct OrwgConfig {
+// The link-state knobs come from PolicyLsConfig. With graceful restart the
+// database -- and with it the route server's db_version-keyed cache --
+// stays frozen while a neighbor is in grace, so Policy Routes are served
+// memoized from the stale snapshot.
+struct OrwgConfig : PolicyLsConfig {
   RouteServerConfig route_server;
   std::uint16_t default_payload_bytes = 512;
   // Setup packets are retransmitted until acked/nakked (they may be lost
@@ -44,43 +47,20 @@ struct OrwgConfig {
   // into one message per neighbor, trading propagation delay for
   // messages (measured by bench_db_distribution).
   double lsa_batch_ms = 0.0;
-  // Re-originate our LSA every periodic_refresh_ms (0 disables). The
-  // fresh sequence number re-floods network-wide, repairing any database
-  // hole a lost or corrupted flood left behind.
-  double periodic_refresh_ms = 0.0;
-  // LSA origin authentication (paper §2.3's assurance dimension): when
-  // set, points at a per-AD key table (index = AdId); LSAs are tagged by
-  // their origin and verified at every receiver; forgeries are dropped.
-  const std::vector<std::uint64_t>* lsa_keys = nullptr;
-  // Paper-scale hierarchical mode: only transit ADs originate LSAs (with
-  // their attached stubs listed), floods and DB syncs skip stub
-  // neighbors, and a stub's route-server query is answered by its transit
-  // parent -- the paper's model of the Route Server as the provider-side
-  // entity a stub consults. Databases stay O(transit ADs).
-  bool hierarchical = false;
-  // Hold-down for link-change-triggered re-origination (0 = immediate,
-  // the historical behavior). Link transitions within the window
-  // coalesce into at most one origination, and a window that ends with
-  // LSA content identical to the database copy (the link flapped down
-  // and back) re-floods nothing at all. Periodic refresh bypasses this
-  // (it must bump seq).
-  double link_holddown_ms = 0.0;
-  // Graceful restart (off by default): a neighbor crashing into a grace
-  // window keeps its adjacency (no re-origination -- the database, and
-  // with it the route server's db_version-keyed cache, stays frozen, so
-  // Policy Routes are served memoized from the stale snapshot) until the
-  // restarted neighbor's link-up resync or the post-grace re-examination.
-  GrConfig gr;
 };
 
-class OrwgNode : public ProtoNode {
+// The link-state control plane comes from PolicyLsNode; ORWG adds the
+// route server, the policy gateway, the Policy Route plane and LSA
+// batching. In hierarchical mode a stub's route-server query is answered
+// by its transit parent -- the paper's model of the Route Server as the
+// provider-side entity a stub consults.
+class OrwgNode : public PolicyLsNode {
  public:
   explicit OrwgNode(const PolicySet* policies, OrwgConfig config = {})
-      : policies_(policies), config_(config) {}
+      : PolicyLsNode(policies, /*publishes_source_policy=*/false),
+        config_(config) {}
 
   void start() override;
-  void on_message(AdId from, std::span<const std::uint8_t> bytes) override;
-  void on_link_change(AdId neighbor, bool up) override;
 
   // Send `packets` data packets of this flow. The first use of a
   // (destination, traffic class) synthesizes a Policy Route and runs the
@@ -116,7 +96,6 @@ class OrwgNode : public ProtoNode {
 
   [[nodiscard]] RouteServer& route_server() { return *route_server_; }
   [[nodiscard]] PolicyGateway& gateway() { return *gateway_; }
-  [[nodiscard]] const PolicyLsdb& lsdb() const noexcept { return lsdb_; }
 
   // Data-plane statistics (as destination / as source).
   [[nodiscard]] std::uint64_t delivered() const noexcept {
@@ -138,7 +117,6 @@ class OrwgNode : public ProtoNode {
     return data_drops_;
   }
 
-  static constexpr std::uint8_t kMsgLsa = 1;
   static constexpr std::uint8_t kMsgSetup = 2;
   static constexpr std::uint8_t kMsgData = 3;
   static constexpr std::uint8_t kMsgAck = 4;
@@ -162,22 +140,15 @@ class OrwgNode : public ProtoNode {
     std::uint32_t retries = 0;
   };
 
-  void originate_lsa(MsgClass cls = MsgClass::kUpdate);
-  void originate_if_changed();
-  // Hierarchical helpers: owning transit AD of a (possibly stub) AD, the
-  // stub's deterministic parent, and the end-to-end AD path composed from
-  // a transit-level synthesis between the two attachments.
-  [[nodiscard]] bool is_transit() const { return topo().can_transit(self()); }
-  [[nodiscard]] AdId attachment(AdId ad);
+  // The end-to-end AD path composed from a transit-level synthesis
+  // between the two endpoints' attachments (hierarchical mode).
   [[nodiscard]] std::optional<std::vector<AdId>> hierarchical_route(
       const FlowSpec& flow);
-  void forge_victim_lsa();
-  void sign_lsa(PolicyLsa& lsa) const;
-  void flood_lsa(const PolicyLsa& lsa, AdId except,
-                 MsgClass cls = MsgClass::kUpdate);
-  void schedule_refresh();
   void flush_pending_floods();
   bool establish_pr(const FlowSpec& flow, PendingPr pending);
+  // Install our own hop, then send (and keep retrying) the setup.
+  void start_setup(const FlowSpec& flow, std::vector<AdId> path,
+                   PendingPr pending);
   void transmit_setup(PrHandle handle);
   void schedule_setup_retry(PrHandle handle);
   void send_data_packets(const ActivePr& pr, const FlowSpec& flow,
@@ -199,14 +170,9 @@ class OrwgNode : public ProtoNode {
            traffic_class_of(flow).index();
   }
 
-  const PolicySet* policies_;
   OrwgConfig config_;
-  PolicyLsdb lsdb_;
-  std::uint32_t my_seq_ = 0;
   std::vector<std::pair<PolicyLsa, AdId>> pending_floods_;
   bool flush_scheduled_ = false;
-  bool holddown_scheduled_ = false;  // a hold-down window is already open
-  std::uint64_t originations_suppressed_ = 0;
   std::unique_ptr<RouteServer> route_server_;
   std::unique_ptr<PolicyGateway> gateway_;
   std::unordered_map<std::uint64_t, ActivePr> active_;    // by flow key
@@ -233,42 +199,30 @@ class OrwgNode : public ProtoNode {
   [[nodiscard]] std::uint64_t pr_repairs() const noexcept {
     return pr_repairs_;
   }
-  [[nodiscard]] std::uint64_t lsas_rejected_auth() const noexcept {
-    return lsas_rejected_auth_;
-  }
-  [[nodiscard]] std::uint64_t originations_suppressed() const noexcept {
-    return originations_suppressed_;
-  }
-  // GR accounting: adjacency retentions entered on a neighbor crash,
-  // database resyncs pushed to a recovered neighbor, and Policy Routes
-  // served from the route server's memoized (db_version-frozen) cache
-  // while at least one neighbor was inside a grace window.
-  [[nodiscard]] std::uint64_t gr_retained() const noexcept {
-    return gr_retained_;
-  }
-  [[nodiscard]] std::uint64_t gr_resyncs() const noexcept {
-    return gr_resyncs_;
-  }
+  // GR accounting: Policy Routes served from the route server's memoized
+  // (db_version-frozen) cache while at least one neighbor was inside a
+  // grace window.
   [[nodiscard]] std::uint64_t gr_memoized() const noexcept {
     return gr_memoized_;
   }
 
+ protected:
+  [[nodiscard]] const PolicyLsConfig& ls_config() const noexcept override {
+    return config_;
+  }
+  void on_other_message(std::uint8_t type, AdId from,
+                        wire::Reader& r) override;
+  // Immediate flooding, or a batch per LSA window (lsa_batch_ms > 0).
+  void flood_lsa(const PolicyLsa& lsa, AdId except, MsgClass cls) override;
+
  private:
-  // Verify + insert + (on acceptance) re-flood one received LSA.
-  void accept_lsa(PolicyLsa lsa, AdId from);
   // Counts a route-server answer served from cache during a grace window
   // (the "memoized synthesis from the stale snapshot" the GR design
   // promises for the source-routing family).
   void note_gr_cache_hit(bool from_cache);
 
   std::uint64_t pr_repairs_ = 0;  // errors healed by immediate resynthesis
-  std::uint64_t lsas_rejected_auth_ = 0;
-  std::uint64_t gr_retained_ = 0;
-  std::uint64_t gr_resyncs_ = 0;
   std::uint64_t gr_memoized_ = 0;
-  // Lazily rebuilt stub -> owning transit AD index (hierarchical mode).
-  DenseMap<std::uint32_t, std::uint32_t> attach_;
-  std::uint64_t attach_version_ = ~0ull;
 };
 
 }  // namespace idr

@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
 
 #include "core/chaos.hpp"
+#include "pins.hpp"
 #include "proto/ecma/ecma_node.hpp"
 #include "proto/ecma/partial_order.hpp"
 #include "sim/engine.hpp"
@@ -109,10 +111,23 @@ ChaosParams byzantine_params(bool defended) {
   return params;
 }
 
+// Pins recorded on commit 8102046 (see tests/pins.hpp).
+const std::map<std::string, RunPin> kDefendedPins = {
+    {"ecma", {0x2beba019fc2b52e2ull, 7132, 3, 0}},
+    {"idrp", {0x1a5388ab644ecca6ull, 6706, 1, 0}},
+    {"ls-hbh", {0x5fc484b9db70ae58ull, 11755, 0, 0}},
+    {"orwg", {0xcd8a9badac8db590ull, 11755, 0, 0}}};
+const std::map<std::string, RunPin> kUndefendedPins = {
+    {"ecma", {0x9c98a64e5759484eull, 9017, 0, 0}},
+    {"idrp", {0xfe945fad0a0ce5b8ull, 8810, 0, 0}},
+    {"ls-hbh", {0x82a65a97ee21711aull, 104512, 19, 57}},
+    {"orwg", {0x59132f82c4eb834eull, 15499, 0, 0}}};
+
 TEST(ByzantineChaos, DefendedRunsContainEveryDesignPoint) {
   for (const std::string& arch : chaos_design_points()) {
     SCOPED_TRACE(arch);
     const ChaosResult r = run_chaos(arch, byzantine_params(true));
+    expect_pinned(r, kDefendedPins.at(arch));
     EXPECT_TRUE(r.defended);
     EXPECT_EQ(r.byzantine.size(), 4u);
     EXPECT_GT(r.defense_rejections, 0u);
@@ -129,6 +144,7 @@ TEST(ByzantineChaos, UndefendedRunsShowBlastRadius) {
   for (const std::string& arch : chaos_design_points()) {
     SCOPED_TRACE(arch);
     const ChaosResult r = run_chaos(arch, byzantine_params(false));
+    expect_pinned(r, kUndefendedPins.at(arch));
     EXPECT_FALSE(r.defended);
     EXPECT_EQ(r.defense_rejections, 0u);
     violation_pairs += r.audit.violation_pairs();

@@ -3,12 +3,14 @@
 // reliable transport under combined faults.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/chaos.hpp"
+#include "pins.hpp"
 #include "policy/generator.hpp"
 #include "proto/idrp/idrp_node.hpp"
 #include "proto/orwg/orwg_node.hpp"
@@ -52,9 +54,9 @@ TEST(Chaos, KeepaliveDetectsCrashAndRoutesReconverge) {
   Engine engine;
   Network net(engine, fig.topo);
   net.set_node_factory([&policies](AdId) -> std::unique_ptr<Node> {
-    auto node = std::make_unique<IdrpNode>(&policies);
-    node->set_periodic_refresh(200.0);
-    return node;
+    IdrpConfig config;
+    config.periodic_refresh_ms = 200.0;
+    return std::make_unique<IdrpNode>(&policies, config);
   });
   for (const Ad& ad : fig.topo.ads()) {
     net.attach(ad.id, std::make_unique<IdrpNode>(&policies));
@@ -162,6 +164,13 @@ TEST(Chaos, FaultScheduleIsDeterministicInSeed) {
   EXPECT_NE(x.msgs_delivered, z.msgs_delivered);
 }
 
+// Soak pins recorded on commit 8102046 (see tests/pins.hpp).
+const std::map<std::string, RunPin> kSoakPins = {
+    {"ecma", {0x15fafe3f4fb52687ull, 6749, 199, 0}},
+    {"idrp", {0xfea9b33018512432ull, 5980, 101, 0}},
+    {"ls-hbh", {0x6e367258f88e5711ull, 10712, 196, 0}},
+    {"orwg", {0xf116e665ae3e59b4ull, 10712, 201, 0}}};
+
 TEST(Chaos, SoakAllDesignPointsCleanAndDeterministic) {
   // The acceptance run in miniature: every design point through the full
   // chaos schedule (crashes, corruption, duplication, reordering, no
@@ -174,6 +183,7 @@ TEST(Chaos, SoakAllDesignPointsCleanAndDeterministic) {
     SCOPED_TRACE(arch);
     const ChaosResult first = run_chaos(arch, params);
     const ChaosResult second = run_chaos(arch, params);
+    expect_pinned(first, kSoakPins.at(arch));
     EXPECT_GT(first.invariants.sweeps, 0u);
     EXPECT_GT(first.invariants.probes, 0u);
     EXPECT_GT(first.node_crashes, 0u) << "schedule must crash somebody";

@@ -2,13 +2,16 @@
 // ADs must carry a regional partition/heal cleanly for every design
 // point -- zero persistent invariant violations, a finite storm-class
 // reconvergence time, and a deterministic counter fingerprint -- and
-// the damped DV flap storm must both stay clean and measurably cut the
-// update churn against the undamped run.
+// the damped DV flap storm and the held-down LS flap storm must both stay
+// clean and measurably cut the update churn against the plain run. Every
+// run is pinned against tests/pins.hpp's recorded values.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "core/chaos.hpp"
+#include "pins.hpp"
 
 namespace idr {
 namespace {
@@ -20,11 +23,47 @@ ScaleChaosParams scale_params(StormFamily storm) {
   return params;
 }
 
+// Pins recorded on commit 8102046 (see tests/pins.hpp).
+using Pins = std::map<std::string, RunPin>;
+const Pins kPartitionPins = {
+    {"ecma", {0xaf57a47a5806268dull, 13188, 0, 0}},
+    {"idrp", {0x990116891229cfc2ull, 26677, 3, 0}},
+    {"ls-hbh", {0xe4ae7d374b1ba16ull, 3413, 0, 0}},
+    {"orwg", {0x44a7ab4eb786995ull, 3413, 0, 0}}};
+const Pins kRestartColdPins = {
+    {"ecma", {0x5eeb9e1c90a52d36ull, 78217, 44, 0}},
+    {"idrp", {0xf822fca3c7bac673ull, 58508, 29, 0}},
+    {"ls-hbh", {0x99a1a0fc467d4922ull, 16723, 13, 0}},
+    {"orwg", {0x607a416363d1672full, 16723, 17, 0}}};
+const Pins kRestartGrPins = {
+    {"ecma", {0x674de06f7720c77dull, 25984, 16, 0}},
+    {"idrp", {0x6727fb0587bd27b4ull, 12953, 2, 0}},
+    {"ls-hbh", {0x3f63279c1629a987ull, 12366, 0, 0}},
+    {"orwg", {0x2024c228aa986ffbull, 12366, 0, 0}}};
+const Pins kGraceExpiryPins = {
+    {"ecma", {0x1eca4f1ccdad049eull, 61623, 51, 0}},
+    {"idrp", {0x39afee9e71a517d3ull, 57354, 25, 0}},
+    {"ls-hbh", {0x32c8fa610ddd6b74ull, 15545, 5, 0}},
+    {"orwg", {0x358a2678bba8d3d7ull, 15545, 12, 0}}};
+const Pins kFlapUndampedPins = {
+    {"ecma", {0xd26b766742a89fafull, 146192, 43, 0}},
+    {"idrp", {0x7d5387c3c5a7f0b1ull, 55078, 0, 0}}};
+const Pins kFlapDampedPins = {
+    {"ecma", {0x56061c99d8a33e88ull, 52835, 165, 0}},
+    {"idrp", {0xa4fdb409b468373bull, 18427, 90, 0}}};
+const Pins kFlapPlainLsPins = {
+    {"ls-hbh", {0x630a6e3fd70d907full, 42158, 6, 0}},
+    {"orwg", {0x51cb6db5e23866b9ull, 42158, 2, 0}}};
+const Pins kFlapHeldLsPins = {
+    {"ls-hbh", {0x69c9547291b51fc9ull, 8204, 53, 0}},
+    {"orwg", {0x32a9ab24c45b14f1ull, 8204, 53, 0}}};
+
 TEST(ChaosScale, PartitionHealsCleanlyAtOneThousandAds) {
   for (const std::string& arch : chaos_design_points()) {
     SCOPED_TRACE(arch);
     const ScaleChaosResult result =
         run_scale_chaos(arch, scale_params(StormFamily::kPartition));
+    expect_pinned(result, kPartitionPins.at(arch));
     EXPECT_GT(result.storm_transitions, 0u);
     EXPECT_EQ(result.invariants.persistent_violations(), 0u)
         << "partition/heal left persistent forwarding damage";
@@ -53,6 +92,8 @@ TEST(ChaosScale, RestartStormGracefulRestartProtectsContinuity) {
 
     const ScaleChaosResult off = run_scale_chaos(arch, cold);
     const ScaleChaosResult on = run_scale_chaos(arch, gr);
+    expect_pinned(off, kRestartColdPins.at(arch));
+    expect_pinned(on, kRestartGrPins.at(arch));
     EXPECT_GT(off.node_crashes, 0u);
     EXPECT_EQ(off.invariants.persistent_violations(), 0u);
     EXPECT_EQ(on.invariants.persistent_violations(), 0u);
@@ -78,6 +119,7 @@ TEST(ChaosScale, RestartStormGraceExpiryFlushesStaleState) {
     params.gr.grace_ms = 150.0;
     params.restart_down_ms = 600.0;
     const ScaleChaosResult result = run_scale_chaos(arch, params);
+    expect_pinned(result, kGraceExpiryPins.at(arch));
     EXPECT_GT(result.gr_flushes, 0u) << "no grace window ever expired";
     EXPECT_EQ(result.gr_recoveries, 0u)
         << "grace < outage must never hand over to a live control plane";
@@ -91,6 +133,7 @@ TEST(ChaosScale, PartitionRunsAreDeterministic) {
   const ScaleChaosParams params = scale_params(StormFamily::kPartition);
   const ScaleChaosResult a = run_scale_chaos("ecma", params);
   const ScaleChaosResult b = run_scale_chaos("ecma", params);
+  expect_pinned(a, kPartitionPins.at("ecma"));
   EXPECT_EQ(a.counter_fingerprint, b.counter_fingerprint);
   EXPECT_EQ(a.reconverge_ms, b.reconverge_ms);
   EXPECT_EQ(a.updates_during_storm, b.updates_during_storm);
@@ -106,6 +149,8 @@ TEST(ChaosScale, DampedFlapStormStaysCleanAndCutsChurn) {
 
     const ScaleChaosResult undamped = run_scale_chaos(arch, off);
     const ScaleChaosResult damped = run_scale_chaos(arch, on);
+    expect_pinned(undamped, kFlapUndampedPins.at(arch));
+    expect_pinned(damped, kFlapDampedPins.at(arch));
     EXPECT_EQ(undamped.invariants.persistent_violations(), 0u);
     EXPECT_EQ(damped.invariants.persistent_violations(), 0u)
         << "damping must not black-hole released routes";
@@ -115,6 +160,34 @@ TEST(ChaosScale, DampedFlapStormStaysCleanAndCutsChurn) {
         << "suppressed routes must be released by the quiet tail";
     EXPECT_LT(damped.updates_during_storm, undamped.updates_during_storm)
         << "damping must reduce storm churn";
+  }
+}
+
+TEST(ChaosScale, LsHoldDownFlapStormStaysCleanAndCutsChurn) {
+  // The LS family's counterpart of damping: a 150 ms origination
+  // hold-down coalesces the flapping links' transitions, and a window
+  // that ends where it began (the link flapped down and back) originates
+  // nothing at all.
+  for (const std::string& arch :
+       {std::string("ls-hbh"), std::string("orwg")}) {
+    SCOPED_TRACE(arch);
+    ScaleChaosParams plain = scale_params(StormFamily::kFlapStorm);
+    ScaleChaosParams held = plain;
+    held.ls_holddown_ms = 150.0;
+
+    const ScaleChaosResult off = run_scale_chaos(arch, plain);
+    const ScaleChaosResult on = run_scale_chaos(arch, held);
+    expect_pinned(off, kFlapPlainLsPins.at(arch));
+    expect_pinned(on, kFlapHeldLsPins.at(arch));
+    EXPECT_EQ(off.invariants.persistent_violations(), 0u);
+    EXPECT_EQ(on.invariants.persistent_violations(), 0u)
+        << "held-down originations must still converge";
+    EXPECT_GE(on.reconverge_ms, 0.0);
+    EXPECT_EQ(off.ls_originations_suppressed, 0u);
+    EXPECT_GT(on.ls_originations_suppressed, 0u)
+        << "no hold-down window ever ended unchanged";
+    EXPECT_GE(off.updates_during_storm, 5 * on.updates_during_storm)
+        << "hold-down must cut storm churn at least 5x";
   }
 }
 

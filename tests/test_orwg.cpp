@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "policy/generator.hpp"
 #include "proto/orwg/orwg_node.hpp"
@@ -296,6 +298,49 @@ TEST_F(OrwgTest, ForgedLsaPollutesWithoutAuthentication) {
   ASSERT_NE(stored, nullptr);
   EXPECT_EQ(stored->seq, 1001u);
   EXPECT_GT(stored->adjacencies.size(), 1u);  // real neighbors, not forged
+}
+
+// Database distribution (paper §6): batching the LSAs accepted within a
+// 5 ms window into one message per neighbor must build the same LSDB at
+// every AD as per-LSA flooding, origin for origin, with fewer messages.
+TEST_F(OrwgTest, BatchedFloodingBuildsTheSameDatabasesWithFewerMessages) {
+  struct ColdStart {
+    std::uint64_t msgs = 0;
+    // [node][origin] -> encoded LSA (empty when the origin is missing).
+    std::vector<std::vector<std::vector<std::uint8_t>>> lsdbs;
+  };
+  auto cold_start = [&](double lsa_batch_ms) {
+    Engine engine;
+    Network net(engine, fig_.topo);
+    OrwgConfig config;
+    config.lsa_batch_ms = lsa_batch_ms;
+    std::vector<OrwgNode*> nodes;
+    for (const Ad& ad : fig_.topo.ads()) {
+      auto node = std::make_unique<OrwgNode>(&policies_, config);
+      nodes.push_back(node.get());
+      net.attach(ad.id, std::move(node));
+    }
+    net.start_all();
+    engine.run();
+    ColdStart run;
+    run.msgs = net.total().msgs_sent;
+    for (const OrwgNode* node : nodes) {
+      auto& db = run.lsdbs.emplace_back();
+      for (const Ad& origin : fig_.topo.ads()) {
+        wire::Writer w;
+        if (const PolicyLsa* lsa = node->lsdb().get(origin.id)) lsa->encode(w);
+        db.push_back(w.bytes());
+      }
+    }
+    return run;
+  };
+  const ColdStart plain = cold_start(0.0);
+  const ColdStart batched = cold_start(5.0);
+  EXPECT_EQ(batched.lsdbs, plain.lsdbs);
+  EXPECT_LT(batched.msgs, plain.msgs);
+  // Message counts recorded on commit 8102046 (see tests/pins.hpp).
+  EXPECT_EQ(plain.msgs, 368u);
+  EXPECT_EQ(batched.msgs, 213u);
 }
 
 TEST_F(OrwgTest, NoRouteReportedAsFailure) {

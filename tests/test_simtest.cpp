@@ -6,11 +6,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "pins.hpp"
 #include "sim/invariants.hpp"
 #include "simtest/differential.hpp"
 #include "simtest/scenario_generator.hpp"
@@ -255,6 +257,21 @@ TEST(Differential, ShrinkerMinimizesInjectedBugCase) {
 
 // --- golden corpus -----------------------------------------------------
 
+// Per-arch pins of the clean golden replays, recorded on commit 8102046
+// (see tests/pins.hpp).
+const std::map<std::string, std::map<std::string, ReplayPin>> kReplayPins = {
+    {"clean-seed-1.simcase",
+     {{"ecma", {0xe699e90e9b2e34bull, 8282}},
+      {"idrp", {0x1ff695b2edfdbb12ull, 7820}},
+      {"ls-hbh", {0xbadfeab473cb3ff1ull, 10874}},
+      {"orwg", {0x53c2568159098d36ull, 10874}}}},
+    {"clean-seed-2.simcase",
+     {{"ecma", {0x2d70caf39382c4bull, 4315}},
+      {"idrp", {0x8950c0edda0db26ull, 4225}},
+      {"ls-hbh", {0x212d28867b226d6cull, 5166}},
+      {"orwg", {0x7a67f61f1e35b70ull, 5166}}}},
+};
+
 TEST(Corpus, CleanCasesReplayClean) {
   for (const char* name : {"clean-seed-1.simcase", "clean-seed-2.simcase"}) {
     SCOPED_TRACE(name);
@@ -266,6 +283,13 @@ TEST(Corpus, CleanCasesReplayClean) {
     EXPECT_EQ(format_sim_case(c), text);
     const DiffResult result = run_differential(c);
     EXPECT_TRUE(result.clean());
+    const auto& pins = kReplayPins.at(name);
+    ASSERT_EQ(result.archs.size(), pins.size());
+    for (const ArchDiffResult& a : result.archs) {
+      SCOPED_TRACE(a.arch);
+      EXPECT_EQ((ReplayPin{a.fingerprint, a.events_processed}),
+                pins.at(a.arch));
+    }
   }
 }
 
