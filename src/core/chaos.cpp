@@ -223,7 +223,7 @@ ScaleChaosResult run_scale_chaos(const std::string& arch,
   for (const Ad& ad : topo.ads()) net.attach(ad.id, factory(ad.id));
   // Storms are pure link events and failure detection is the oracle's
   // job here: per-link keepalive probing at 1e4+ ADs would bury the
-  // storm under liveness traffic (bench_chaos soaks the keepalive path
+  // storm under liveness traffic (run_chaos soaks the keepalive path
   // at Figure 1 scale).
   net.set_link_notifications(true);
   if (params.storm == StormFamily::kRestartStorm) {

@@ -154,7 +154,7 @@ ChaosResult run_chaos(const std::string& arch, const ChaosParams& params);
 // Failure detection uses the instantaneous link-state oracle instead of
 // keepalives: storms are injected as link transitions (a node outage is
 // all of its links going dark), and per-link keepalive probing at 1e4+
-// ADs would drown the event queue in liveness traffic that bench_chaos
+// ADs would drown the event queue in liveness traffic that run_chaos
 // already soaks at small scale.
 
 enum class StormFamily : std::uint8_t {
@@ -165,7 +165,7 @@ enum class StormFamily : std::uint8_t {
   // Staggered transit-core node crash/restart cycles driven through the
   // crash oracle (Network::set_crash_notifications), with graceful
   // restart and ingress overload protection as A/B knobs. Benched by
-  // bench_restart (BENCH_restart.json), not bench_chaos_scale.
+  // the restart matrix (BENCH_restart.json), not the chaos-scale one.
   kRestartStorm = 4,
 };
 
@@ -174,7 +174,7 @@ enum class StormFamily : std::uint8_t {
 [[nodiscard]] const std::vector<StormFamily>& storm_families();
 
 struct ScaleChaosParams {
-  std::uint64_t seed = 0x5ca1eULL;  // profile seed (bench_scale's)
+  std::uint64_t seed = 0x5ca1eULL;  // profile seed (the scale matrix's)
   std::uint32_t target_ads = 10'000;
   std::uint32_t beacon_count = 64;
 

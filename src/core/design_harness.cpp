@@ -87,13 +87,6 @@ const std::vector<std::string>& design_point_names() {
   return kPoints;
 }
 
-bool is_design_point(const std::string& arch) {
-  for (const std::string& name : design_point_names()) {
-    if (name == arch) return true;
-  }
-  return false;
-}
-
 void apply_engine_backend(Engine& engine, const Topology& topo,
                           const EngineBackend& backend) {
   if (backend.shards <= 1) return;

@@ -29,7 +29,6 @@ struct EcmaConfig;
 
 // The four design points every adversarial driver exercises.
 const std::vector<std::string>& design_point_names();
-[[nodiscard]] bool is_design_point(const std::string& arch);
 
 // Stub/multi-homed roles never transit (paper §2.1); shared by the
 // adapters that derive policy from roles.

@@ -13,8 +13,8 @@
 //  * LS family (LS-HbH, ORWG): hierarchical mode -- transit-only
 //    flooding with stubs listed as attachments, databases O(transit).
 //
-// Used by bench_scale (the BENCH_scale.json baseline) and the scale soak
-// test; kept in core/ so both argue about the same deployment.
+// Used by tools/scenario_matrix (the BENCH_scale.json baseline) and the
+// scale soak test; kept in core/ so both argue about the same deployment.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +51,7 @@ struct ScaleProfile {
                                               std::uint32_t beacon_count = 64);
 
 // Recovery knobs for the chaos-at-scale runs. Defaults reproduce the
-// plain factory exactly, so bench_scale baselines are unaffected.
+// plain factory exactly, so the scale-matrix baselines are unaffected.
 struct ScaleFactoryOptions {
   double periodic_refresh_ms = 0.0;  // as in HarnessConfig (0 disables)
   DampingConfig damping;          // DV family (ECMA, IDRP)
@@ -69,7 +69,7 @@ struct ScaleFactoryOptions {
 // Hierarchy-aware shard plan over the profile's topology: regional
 // subtrees stay whole (a region's metros and campuses ride with their
 // regional AD), backbone ADs are individually placeable. This is the
-// partition bench_scale --threads and the parallel soaks run; pass it to
+// partition the parallel matrix and the parallel soaks run; pass it to
 // Engine::enable_sharding before constructing the Network.
 [[nodiscard]] ShardPlan make_scale_shard_plan(const ScaleProfile& profile,
                                               std::uint32_t shards);

@@ -22,7 +22,7 @@ namespace idr {
 namespace {
 
 constexpr std::uint32_t kTargetAds = 10'000;
-constexpr std::uint64_t kProfileSeed = 0x5ca1eULL;  // matches bench_scale
+constexpr std::uint64_t kProfileSeed = 0x5ca1eULL;  // the scale matrix's
 constexpr std::size_t kSamplePairs = 128;
 // Process-wide peak-RSS ceiling. The full four-arch sweep at 1e4 ADs
 // peaks near 210 MB (BENCH_scale.json); 1 GiB leaves headroom without
