@@ -35,7 +35,8 @@ void report() {
 
   const FlowSpec flow{fig.campus[0], fig.campus[6]};
   const auto route = orwg.trace(flow);
-  const std::size_t path_len = route.path ? route.path->size() : 6;
+  const std::size_t path_len =
+      route.outcome == ProbeOutcome::kDelivered ? route.path.size() : 6;
   std::printf("flow %s, policy route of %zu ADs\n\n",
               flow.describe(fig.topo).c_str(), path_len);
 

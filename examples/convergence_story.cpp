@@ -29,13 +29,12 @@ int main() {
     const ConvergenceStats initial = arch.initial_convergence();
     const ConvergenceStats recon = arch.perturb(cut, false);
     // Does traffic between the split backbones find the lateral detour?
-    const RouteTrace trace =
-        arch.trace(FlowSpec{fig.campus[0], fig.campus[6]});
+    const Probe probe = arch.trace(FlowSpec{fig.campus[0], fig.campus[6]});
     bool lateral = false;
-    if (trace.path) {
-      for (std::size_t i = 0; i + 1 < trace.path->size(); ++i) {
-        const AdId a = (*trace.path)[i];
-        const AdId b = (*trace.path)[i + 1];
+    if (probe.outcome == ProbeOutcome::kDelivered) {
+      for (std::size_t i = 0; i + 1 < probe.path.size(); ++i) {
+        const AdId a = probe.path[i];
+        const AdId b = probe.path[i + 1];
         if ((a == fig.regional[1] && b == fig.regional[2]) ||
             (a == fig.regional[2] && b == fig.regional[1])) {
           lateral = true;

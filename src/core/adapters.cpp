@@ -1,11 +1,5 @@
 #include "core/adapters.hpp"
 
-#include <unordered_set>
-
-#include "core/design_harness.hpp"
-#include "proto/ecma/partial_order.hpp"
-#include "util/check.hpp"
-
 namespace idr {
 
 // --- DV (RIP baseline) ---
@@ -19,10 +13,11 @@ void DvArchitecture::attach_nodes() {
   }
 }
 
-RouteTrace DvArchitecture::trace(const FlowSpec& flow) {
-  return walk(flow, [&](AdId cur, const std::vector<AdId>&) {
-    return nodes_[cur.v]->next_hop(flow.dst);
-  });
+Probe DvArchitecture::trace(const FlowSpec& flow) {
+  return walk_probe(*net_, topo_, flow.src, flow.dst,
+                    [&](AdId cur, const std::vector<AdId>&) {
+                      return nodes_[cur.v]->next_hop(flow.dst);
+                    });
 }
 
 std::size_t DvArchitecture::state_entries() const {
@@ -42,10 +37,11 @@ void LsArchitecture::attach_nodes() {
   }
 }
 
-RouteTrace LsArchitecture::trace(const FlowSpec& flow) {
-  return walk(flow, [&](AdId cur, const std::vector<AdId>&) {
-    return nodes_[cur.v]->next_hop(flow.dst, flow.qos);
-  });
+Probe LsArchitecture::trace(const FlowSpec& flow) {
+  return walk_probe(*net_, topo_, flow.src, flow.dst,
+                    [&](AdId cur, const std::vector<AdId>&) {
+                      return nodes_[cur.v]->next_hop(flow.dst, flow.qos);
+                    });
 }
 
 std::size_t LsArchitecture::state_entries() const {
@@ -81,10 +77,11 @@ void EgpArchitecture::attach_nodes() {
   }
 }
 
-RouteTrace EgpArchitecture::trace(const FlowSpec& flow) {
-  return walk(flow, [&](AdId cur, const std::vector<AdId>&) {
-    return nodes_[cur.v]->next_hop(flow.dst);
-  });
+Probe EgpArchitecture::trace(const FlowSpec& flow) {
+  return walk_probe(*net_, topo_, flow.src, flow.dst,
+                    [&](AdId cur, const std::vector<AdId>&) {
+                      return nodes_[cur.v]->next_hop(flow.dst);
+                    });
 }
 
 std::size_t EgpArchitecture::state_entries() const {
@@ -99,46 +96,6 @@ std::size_t EgpArchitecture::state_entries() const {
 
 // --- ECMA ---
 
-void EcmaArchitecture::attach_nodes() {
-  order_ = compute_partial_order(topo_, {});
-  IDR_CHECK_MSG(order_.ok, "structural ordering conflict");
-  nodes_.clear();
-  for (const Ad& ad : topo_.ads()) {
-    EcmaConfig config;
-    shape_ecma_role(config, topo_, ad.id);
-    auto node = std::make_unique<EcmaNode>(&order_.order, std::move(config));
-    nodes_.push_back(node.get());
-    net_->attach(ad.id, std::move(node));
-  }
-}
-
-RouteTrace EcmaArchitecture::trace(const FlowSpec& flow) {
-  RouteTrace result;
-  std::vector<AdId> path{flow.src};
-  std::vector<bool> seen(topo_.ad_count(), false);
-  seen[flow.src.v] = true;
-  bool gone_down = false;
-  AdId cur = flow.src;
-  while (cur != flow.dst) {
-    const auto fwd = nodes_[cur.v]->forward(flow.dst, flow.qos, gone_down);
-    if (!fwd) return result;
-    if (seen[fwd->via.v]) {
-      result.looped = true;
-      return result;
-    }
-    gone_down = gone_down || fwd->sets_gone_down;
-    seen[fwd->via.v] = true;
-    path.push_back(fwd->via);
-    cur = fwd->via;
-    if (path.size() > topo_.ad_count()) {
-      result.looped = true;
-      return result;
-    }
-  }
-  result.path = std::move(path);
-  return result;
-}
-
 std::size_t EcmaArchitecture::state_entries() const {
   std::size_t n = 0;
   for (const EcmaNode* node : nodes_) n += node->fib_entries();
@@ -146,22 +103,6 @@ std::size_t EcmaArchitecture::state_entries() const {
 }
 
 // --- IDRP ---
-
-void IdrpArchitecture::attach_nodes() {
-  nodes_.clear();
-  for (const Ad& ad : topo_.ads()) {
-    auto node = std::make_unique<IdrpNode>(policies_, config_);
-    nodes_.push_back(node.get());
-    net_->attach(ad.id, std::move(node));
-  }
-}
-
-RouteTrace IdrpArchitecture::trace(const FlowSpec& flow) {
-  return walk(flow, [&](AdId cur, const std::vector<AdId>& path) {
-    const AdId prev = path.size() >= 2 ? path[path.size() - 2] : kNoAd;
-    return nodes_[cur.v]->forward(flow, prev);
-  });
-}
 
 std::size_t IdrpArchitecture::state_entries() const {
   std::size_t n = 0;
@@ -172,21 +113,6 @@ std::size_t IdrpArchitecture::state_entries() const {
 }
 
 // --- LSHH ---
-
-void LshhArchitecture::attach_nodes() {
-  nodes_.clear();
-  for (const Ad& ad : topo_.ads()) {
-    auto node = std::make_unique<LshhNode>(policies_);
-    nodes_.push_back(node.get());
-    net_->attach(ad.id, std::move(node));
-  }
-}
-
-RouteTrace LshhArchitecture::trace(const FlowSpec& flow) {
-  return walk(flow, [&](AdId cur, const std::vector<AdId>&) {
-    return nodes_[cur.v]->forward(flow);
-  });
-}
 
 std::size_t LshhArchitecture::state_entries() const {
   std::size_t n = 0;
@@ -203,22 +129,6 @@ std::uint64_t LshhArchitecture::computations() const {
 }
 
 // --- ORWG ---
-
-void OrwgArchitecture::attach_nodes() {
-  nodes_.clear();
-  for (const Ad& ad : topo_.ads()) {
-    auto node = std::make_unique<OrwgNode>(policies_, config_);
-    nodes_.push_back(node.get());
-    net_->attach(ad.id, std::move(node));
-  }
-}
-
-RouteTrace OrwgArchitecture::trace(const FlowSpec& flow) {
-  RouteTrace result;
-  auto path = nodes_[flow.src.v]->policy_route(flow);
-  if (path) result.path = std::move(*path);
-  return result;  // source routes cannot loop (synthesis is simple-path)
-}
 
 std::size_t OrwgArchitecture::state_entries() const {
   std::size_t n = 0;
@@ -246,11 +156,16 @@ void DvsrArchitecture::attach_nodes() {
   }
 }
 
-RouteTrace DvsrArchitecture::trace(const FlowSpec& flow) {
-  RouteTrace result;
+Probe DvsrArchitecture::trace(const FlowSpec& flow) {
+  Probe probe;
   auto path = nodes_[flow.src.v]->source_route(flow);
-  if (path) result.path = std::move(*path);
-  return result;
+  if (!path) {
+    probe.path.push_back(flow.src);
+    return probe;  // kBlackHole
+  }
+  probe.path = std::move(*path);
+  probe.outcome = ProbeOutcome::kDelivered;
+  return probe;
 }
 
 std::size_t DvsrArchitecture::state_entries() const {

@@ -2,21 +2,21 @@
 // executable rows of the paper's Table 1 plus the pre-policy baselines
 // of §3. Each adapter instantiates its protocol's nodes over the scenario
 // topology and maps the common harness queries (trace / state /
-// computations / header cost) onto the protocol's own structures.
+// computations / header cost) onto the protocol's own structures; the
+// four design points get their nodes and traces from core/design_harness.
 #pragma once
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/architecture.hpp"
+#include "core/design_harness.hpp"
 #include "proto/dv/dv_node.hpp"
 #include "proto/dvsr/dvsr_node.hpp"
-#include "proto/ecma/ecma_node.hpp"
 #include "proto/egp/egp_node.hpp"
-#include "proto/idrp/idrp_node.hpp"
 #include "proto/ls/ls_node.hpp"
-#include "proto/lshh/lshh_node.hpp"
-#include "proto/orwg/orwg_node.hpp"
+#include "util/check.hpp"
 
 namespace idr {
 
@@ -33,7 +33,7 @@ class DvArchitecture final : public RoutingArchitecture {
     return {Algorithm::kDistanceVector, Decision::kHopByHop,
             PolicyExpression::kNone};
   }
-  [[nodiscard]] RouteTrace trace(const FlowSpec& flow) override;
+  [[nodiscard]] Probe trace(const FlowSpec& flow) override;
   [[nodiscard]] std::size_t state_entries() const override;
   [[nodiscard]] std::uint64_t computations() const override { return 0; }
   [[nodiscard]] std::size_t header_bytes(std::size_t) const override {
@@ -55,7 +55,7 @@ class LsArchitecture final : public RoutingArchitecture {
     return {Algorithm::kLinkState, Decision::kHopByHop,
             PolicyExpression::kNone};
   }
-  [[nodiscard]] RouteTrace trace(const FlowSpec& flow) override;
+  [[nodiscard]] Probe trace(const FlowSpec& flow) override;
   [[nodiscard]] std::size_t state_entries() const override;
   [[nodiscard]] std::uint64_t computations() const override;
   [[nodiscard]] std::size_t header_bytes(std::size_t) const override {
@@ -77,7 +77,7 @@ class EgpArchitecture final : public RoutingArchitecture {
             PolicyExpression::kNone};
   }
   [[nodiscard]] bool applicable(const Topology& topo) const override;
-  [[nodiscard]] RouteTrace trace(const FlowSpec& flow) override;
+  [[nodiscard]] Probe trace(const FlowSpec& flow) override;
   [[nodiscard]] std::size_t state_entries() const override;
   [[nodiscard]] std::uint64_t computations() const override { return 0; }
   [[nodiscard]] std::size_t header_bytes(std::size_t) const override {
@@ -93,15 +93,53 @@ class EgpArchitecture final : public RoutingArchitecture {
 
 // --- The paper's four detailed design points (§5.1-§5.4) ---
 
+// Nodes come from make_design_factory and traces from make_design_probe,
+// the construction path and forwarding walk the adversarial and scale
+// drivers use, so each adapter adds only what the analysis reads:
+// state, computations and header cost.
+template <typename NodeT>
+class DesignArchitecture : public RoutingArchitecture {
+ public:
+  [[nodiscard]] Probe trace(const FlowSpec& flow) override {
+    return probe_(flow);
+  }
+  [[nodiscard]] const std::vector<NodeT*>& nodes() const noexcept {
+    return nodes_;
+  }
+
+ protected:
+  void attach_nodes() override {
+    if (name() == "ecma") {
+      order_ = compute_partial_order(topo_, {});
+      IDR_CHECK_MSG(order_.ok, "structural ordering conflict");
+    }
+    const Network::NodeFactory factory =
+        make_design_factory(name(), topo_, *policies_, &order_, config_);
+    nodes_.clear();
+    for (const Ad& ad : topo_.ads()) {
+      std::unique_ptr<Node> node = factory(ad.id);
+      nodes_.push_back(static_cast<NodeT*>(node.get()));
+      net_->attach(ad.id, std::move(node));
+    }
+    probe_ = make_design_probe(name(), *net_, topo_);
+  }
+
+  DesignConfig config_;
+  OrderResult order_;  // ECMA's partial order (unused by the others)
+  std::vector<NodeT*> nodes_;
+
+ private:
+  FlowProbeFn probe_;
+};
+
 // §5.1: distance vector, hop-by-hop, policy in topology (partial order).
-class EcmaArchitecture final : public RoutingArchitecture {
+class EcmaArchitecture final : public DesignArchitecture<EcmaNode> {
  public:
   [[nodiscard]] std::string name() const override { return "ecma"; }
   [[nodiscard]] DesignPoint design_point() const override {
     return {Algorithm::kDistanceVector, Decision::kHopByHop,
             PolicyExpression::kTopology};
   }
-  [[nodiscard]] RouteTrace trace(const FlowSpec& flow) override;
   [[nodiscard]] std::size_t state_entries() const override;
   [[nodiscard]] std::uint64_t computations() const override { return 0; }
   [[nodiscard]] std::size_t header_bytes(std::size_t) const override {
@@ -110,77 +148,52 @@ class EcmaArchitecture final : public RoutingArchitecture {
   [[nodiscard]] const OrderResult& order_result() const noexcept {
     return order_;
   }
-
- protected:
-  void attach_nodes() override;
-
- private:
-  OrderResult order_;
-  std::vector<EcmaNode*> nodes_;
 };
 
 // §5.2: distance vector (path vector), hop-by-hop, explicit policy terms.
-class IdrpArchitecture final : public RoutingArchitecture {
+class IdrpArchitecture final : public DesignArchitecture<IdrpNode> {
  public:
-  explicit IdrpArchitecture(IdrpConfig config = {}) : config_(config) {}
+  explicit IdrpArchitecture(IdrpConfig config = {}) {
+    config_.idrp = std::move(config);
+  }
   [[nodiscard]] std::string name() const override { return "idrp"; }
   [[nodiscard]] DesignPoint design_point() const override {
     return {Algorithm::kDistanceVector, Decision::kHopByHop,
             PolicyExpression::kPolicyTerms};
   }
-  [[nodiscard]] RouteTrace trace(const FlowSpec& flow) override;
   [[nodiscard]] std::size_t state_entries() const override;
   [[nodiscard]] std::uint64_t computations() const override { return 0; }
   [[nodiscard]] std::size_t header_bytes(std::size_t) const override {
     return 16;  // type + src + dst + qos + uci + hour + attr-class id
   }
-  [[nodiscard]] const std::vector<IdrpNode*>& nodes() const noexcept {
-    return nodes_;
-  }
-
- protected:
-  void attach_nodes() override;
-
- private:
-  IdrpConfig config_;
-  std::vector<IdrpNode*> nodes_;
 };
 
 // §5.3: link state, hop-by-hop, explicit policy terms.
-class LshhArchitecture final : public RoutingArchitecture {
+class LshhArchitecture final : public DesignArchitecture<LshhNode> {
  public:
   [[nodiscard]] std::string name() const override { return "ls-hbh"; }
   [[nodiscard]] DesignPoint design_point() const override {
     return {Algorithm::kLinkState, Decision::kHopByHop,
             PolicyExpression::kPolicyTerms};
   }
-  [[nodiscard]] RouteTrace trace(const FlowSpec& flow) override;
   [[nodiscard]] std::size_t state_entries() const override;
   [[nodiscard]] std::uint64_t computations() const override;
   [[nodiscard]] std::size_t header_bytes(std::size_t) const override {
     return 15;  // type + src + dst + qos + uci + hour
   }
-  [[nodiscard]] const std::vector<LshhNode*>& nodes() const noexcept {
-    return nodes_;
-  }
-
- protected:
-  void attach_nodes() override;
-
- private:
-  std::vector<LshhNode*> nodes_;
 };
 
 // §5.4: link state, source routing, explicit policy terms (ORWG/IDPR).
-class OrwgArchitecture final : public RoutingArchitecture {
+class OrwgArchitecture final : public DesignArchitecture<OrwgNode> {
  public:
-  explicit OrwgArchitecture(OrwgConfig config = {}) : config_(config) {}
+  explicit OrwgArchitecture(OrwgConfig config = {}) {
+    config_.orwg = std::move(config);
+  }
   [[nodiscard]] std::string name() const override { return "orwg"; }
   [[nodiscard]] DesignPoint design_point() const override {
     return {Algorithm::kLinkState, Decision::kSourceRouting,
             PolicyExpression::kPolicyTerms};
   }
-  [[nodiscard]] RouteTrace trace(const FlowSpec& flow) override;
   [[nodiscard]] std::size_t state_entries() const override;
   [[nodiscard]] std::uint64_t computations() const override;
   // Established PRs forward on an 8-byte handle, not the full route.
@@ -190,16 +203,6 @@ class OrwgArchitecture final : public RoutingArchitecture {
   [[nodiscard]] std::size_t setup_header_bytes(std::size_t path_len) const {
     return 22 + 4 * path_len;  // setup carries the full policy route
   }
-  [[nodiscard]] const std::vector<OrwgNode*>& nodes() const noexcept {
-    return nodes_;
-  }
-
- protected:
-  void attach_nodes() override;
-
- private:
-  OrwgConfig config_;
-  std::vector<OrwgNode*> nodes_;
 };
 
 // §5.5.2: distance vector + source routing hybrid.
@@ -211,7 +214,7 @@ class DvsrArchitecture final : public RoutingArchitecture {
     return {Algorithm::kDistanceVector, Decision::kSourceRouting,
             PolicyExpression::kPolicyTerms};
   }
-  [[nodiscard]] RouteTrace trace(const FlowSpec& flow) override;
+  [[nodiscard]] Probe trace(const FlowSpec& flow) override;
   [[nodiscard]] std::size_t state_entries() const override;
   [[nodiscard]] std::uint64_t computations() const override { return 0; }
   [[nodiscard]] std::size_t header_bytes(std::size_t path_len) const override {

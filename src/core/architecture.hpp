@@ -14,13 +14,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "policy/database.hpp"
 #include "policy/flow.hpp"
 #include "sim/engine.hpp"
+#include "sim/invariants.hpp"
 #include "sim/network.hpp"
 #include "topology/graph.hpp"
 
@@ -49,12 +48,6 @@ struct ConvergenceStats {
   std::size_t events = 0;       // simulator events processed
 };
 
-// Result of tracing one flow through an architecture's data plane.
-struct RouteTrace {
-  std::optional<std::vector<AdId>> path;  // src..dst on success
-  bool looped = false;  // forwarding revisited an AD / exceeded hop cap
-};
-
 class RoutingArchitecture {
  public:
   virtual ~RoutingArchitecture() = default;
@@ -70,8 +63,9 @@ class RoutingArchitecture {
   // re-convergence cost alone.
   ConvergenceStats perturb(LinkId link, bool up);
 
-  // Trace the AD-level path of one flow through the data plane.
-  [[nodiscard]] virtual RouteTrace trace(const FlowSpec& flow) = 0;
+  // Trace the AD-level path of one flow through the data plane: the
+  // outcome, and the hops taken (src..dst once delivered).
+  [[nodiscard]] virtual Probe trace(const FlowSpec& flow) = 0;
 
   // Total control/forwarding state entries across all ADs (RIB routes,
   // FIB entries, flow caches, PR handles -- whatever the architecture
@@ -104,34 +98,6 @@ class RoutingArchitecture {
  protected:
   // Subclass hook: attach one node per AD to network().
   virtual void attach_nodes() = 0;
-
-  // Walk a hop-by-hop data plane: repeatedly ask `next` for the successor
-  // until dst, drop (nullopt) or a loop. Shared by the HbH adapters.
-  template <typename NextFn>
-  [[nodiscard]] RouteTrace walk(const FlowSpec& flow, NextFn&& next) const {
-    RouteTrace result;
-    std::vector<AdId> path{flow.src};
-    std::vector<bool> seen(topo_.ad_count(), false);
-    seen[flow.src.v] = true;
-    AdId cur = flow.src;
-    while (cur != flow.dst) {
-      const std::optional<AdId> hop = next(cur, path);
-      if (!hop) return result;  // dropped: no route at this AD
-      if (seen[hop->v]) {
-        result.looped = true;
-        return result;
-      }
-      seen[hop->v] = true;
-      path.push_back(*hop);
-      cur = *hop;
-      if (path.size() > topo_.ad_count()) {
-        result.looped = true;
-        return result;
-      }
-    }
-    result.path = std::move(path);
-    return result;
-  }
 
   Topology topo_;  // private copy; protocols mutate link state through it
   const PolicySet* policies_ = nullptr;

@@ -18,10 +18,6 @@
 
 namespace idr {
 
-const std::vector<std::string>& chaos_design_points() {
-  return design_point_names();
-}
-
 ChaosResult run_chaos(const std::string& arch, const ChaosParams& params) {
   Figure1 fig = build_figure1();
   Topology& topo = fig.topo;
@@ -76,15 +72,7 @@ ChaosResult run_chaos(const std::string& arch, const ChaosParams& params) {
       byz_schedule.push_back(spec);
     }
   }
-  if (defended) {
-    // Per-AD LSA authentication keys (modeled shared-secret registry).
-    std::uint64_t key_state = params.seed ^ 0x6b657973ULL;
-    lsa_keys.resize(topo.ad_count());
-    for (auto& key : lsa_keys) {
-      key = splitmix64(key_state);
-      if (key == 0) key = 1;
-    }
-  }
+  if (defended) lsa_keys = make_lsa_keys(params.seed, topo.ad_count());
 
   // --- per-design-point node factory (also used for cold restarts) ----
   OrderResult order;
@@ -92,12 +80,10 @@ ChaosResult run_chaos(const std::string& arch, const ChaosParams& params) {
     order = compute_partial_order(topo, {});
     IDR_CHECK_MSG(order.ok, "structural ordering conflict on Figure 1");
   }
-  HarnessConfig harness;
-  harness.defended = defended;
-  harness.periodic_refresh_ms = params.periodic_refresh_ms;
-  harness.lsa_keys = &lsa_keys;
-  Network::NodeFactory factory =
-      make_design_factory(arch, topo, policies, &order, harness);
+  Network::NodeFactory factory = make_design_factory(
+      arch, topo, policies, &order,
+      adversarial_design_config(params.periodic_refresh_ms, defended,
+                                policies, lsa_keys));
 
   net.set_node_factory(factory);
   for (const Ad& ad : topo.ads()) net.attach(ad.id, factory(ad.id));
@@ -214,11 +200,18 @@ ScaleChaosResult run_scale_chaos(const std::string& arch,
 
   Engine engine(SchedulerKind::kCalendar);
   Network net(engine, topo);
-  ScaleFactoryOptions fopts;
-  fopts.damping = params.damping;
-  fopts.ls_holddown_ms = params.ls_holddown_ms;
-  fopts.gr = params.gr;
-  Network::NodeFactory factory = make_scale_factory(arch, profile, fopts);
+  // The storm's recovery knobs on top of the scale preset.
+  DesignConfig config = scale_design_config(profile);
+  config.ecma.damping = params.damping;
+  config.idrp.damping = params.damping;
+  config.lshh.link_holddown_ms = params.ls_holddown_ms;
+  config.orwg.link_holddown_ms = params.ls_holddown_ms;
+  config.ecma.gr = params.gr;
+  config.idrp.gr = params.gr;
+  config.lshh.gr = params.gr;
+  config.orwg.gr = params.gr;
+  Network::NodeFactory factory = make_design_factory(
+      arch, topo, profile.policies, &profile.order, config);
   net.set_node_factory(factory);
   for (const Ad& ad : topo.ads()) net.attach(ad.id, factory(ad.id));
   // Storms are pure link events and failure detection is the oracle's

@@ -140,9 +140,6 @@ struct ChaosResult {
   std::uint64_t defense_rejections = 0;
 };
 
-// The four design points the chaos soak exercises.
-const std::vector<std::string>& chaos_design_points();
-
 // Run `arch` ("ecma" | "idrp" | "ls-hbh" | "orwg") through the seeded
 // churn schedule over the Figure 1 topology with open policies.
 ChaosResult run_chaos(const std::string& arch, const ChaosParams& params);

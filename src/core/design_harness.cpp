@@ -7,11 +7,8 @@
 
 #include "core/synthesis.hpp"
 #include "sim/shard.hpp"
-#include "proto/ecma/ecma_node.hpp"
-#include "proto/idrp/idrp_node.hpp"
-#include "proto/lshh/lshh_node.hpp"
-#include "proto/orwg/orwg_node.hpp"
 #include "util/check.hpp"
+#include "util/prng.hpp"
 
 namespace idr {
 namespace {
@@ -19,44 +16,6 @@ namespace {
 std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) noexcept {
   h ^= v;
   return h * 0x100000001b3ULL;
-}
-
-// Hop-by-hop probe walk shared by the FIB-driven design points. `next_fn`
-// asks the node currently holding the packet for its successor; a crashed
-// node on the way (or no forwarding choice) is a black hole, a revisited
-// AD is a loop. A transit AD that is quarantined or actively dropping
-// traffic toward dst (Byzantine black hole / hijack) swallows the packet:
-// the walk records the control plane's choice, the drop is the data
-// plane's fate.
-template <typename NextFn>
-Probe walk_probe(const Network& net, const Topology& topo, AdId src,
-                 AdId dst, NextFn&& next_fn) {
-  Probe probe;
-  probe.path.push_back(src);
-  std::vector<bool> seen(topo.ad_count(), false);
-  seen[src.v] = true;
-  AdId cur = src;
-  while (cur != dst) {
-    if (cur != src &&
-        (net.is_quarantined(cur) || net.drops_traffic(cur, dst))) {
-      probe.outcome = ProbeOutcome::kBlackHole;
-      return probe;
-    }
-    const std::optional<AdId> next = next_fn(cur, probe.path);
-    if (!next) {
-      probe.outcome = ProbeOutcome::kBlackHole;
-      return probe;
-    }
-    if (seen[next->v] || probe.path.size() > topo.ad_count()) {
-      probe.outcome = ProbeOutcome::kLooped;
-      return probe;
-    }
-    seen[next->v] = true;
-    probe.path.push_back(*next);
-    cur = *next;
-  }
-  probe.outcome = ProbeOutcome::kDelivered;
-  return probe;
 }
 
 // A node the ground-truth oracles must route around. Two notions:
@@ -110,51 +69,74 @@ void shape_ecma_role(EcmaConfig& config, const Topology& topo, AdId ad) {
   }
 }
 
+bool ecma_transits(const Topology& topo, AdId ad, AdId dst) {
+  if (is_stub_role(topo, ad)) return false;
+  return topo.ad(ad).role != AdRole::kHybrid ||
+         topo.find_link(ad, dst).has_value();
+}
+
+DesignConfig adversarial_design_config(
+    double periodic_refresh_ms, bool defended, const PolicySet& policies,
+    const std::vector<std::uint64_t>& lsa_keys) {
+  DesignConfig config;
+  config.ecma.periodic_refresh_ms = periodic_refresh_ms;
+  config.idrp.periodic_refresh_ms = periodic_refresh_ms;
+  config.lshh.periodic_refresh_ms = periodic_refresh_ms;
+  config.orwg.periodic_refresh_ms = periodic_refresh_ms;
+  if (defended) {
+    config.ecma.receiver_order_check = true;
+    config.idrp.defend = true;
+    config.lshh.lsa_keys = &lsa_keys;
+    config.lshh.registry = &policies;
+    config.orwg.lsa_keys = &lsa_keys;
+    config.orwg.route_server.registry = &policies;
+  }
+  return config;
+}
+
+std::vector<std::uint64_t> make_lsa_keys(std::uint64_t seed,
+                                         std::size_t ad_count) {
+  std::uint64_t key_state = seed ^ 0x6b657973ULL;  // "keys"
+  std::vector<std::uint64_t> keys(ad_count);
+  for (auto& key : keys) {
+    key = splitmix64(key_state);
+    if (key == 0) key = 1;
+  }
+  return keys;
+}
+
 Network::NodeFactory make_design_factory(const std::string& arch,
                                          const Topology& topo,
                                          const PolicySet& policies,
                                          const OrderResult* order,
-                                         const HarnessConfig& config) {
-  const bool defended = config.defended;
-  const double refresh = config.periodic_refresh_ms;
-  const std::vector<std::uint64_t>* lsa_keys =
-      defended ? config.lsa_keys : nullptr;
+                                         const DesignConfig& config) {
+  const std::vector<char>* originators = config.dv_originators;
   if (arch == "ecma") {
     IDR_CHECK_MSG(order != nullptr, "ecma factory needs the partial order");
-    return [&topo, order, refresh, defended](AdId ad) -> std::unique_ptr<Node> {
-      EcmaConfig ecma_config;
-      shape_ecma_role(ecma_config, topo, ad);
-      ecma_config.receiver_order_check = defended;
-      ecma_config.periodic_refresh_ms = refresh;
-      return std::make_unique<EcmaNode>(&order->order, std::move(ecma_config));
+    return [&topo, order, originators,
+            base = config.ecma](AdId ad) -> std::unique_ptr<Node> {
+      EcmaConfig ecma = base;
+      shape_ecma_role(ecma, topo, ad);
+      if (originators) ecma.originate = (*originators)[ad.v] != 0;
+      return std::make_unique<EcmaNode>(&order->order, std::move(ecma));
     };
   }
   if (arch == "idrp") {
-    return [&policies, refresh, defended](AdId) -> std::unique_ptr<Node> {
-      IdrpConfig idrp_config;
-      idrp_config.defend = defended;
-      idrp_config.periodic_refresh_ms = refresh;
-      return std::make_unique<IdrpNode>(&policies, idrp_config);
+    return [&policies, originators,
+            base = config.idrp](AdId ad) -> std::unique_ptr<Node> {
+      IdrpConfig idrp = base;
+      if (originators) idrp.originate = (*originators)[ad.v] != 0;
+      return std::make_unique<IdrpNode>(&policies, std::move(idrp));
     };
   }
   if (arch == "ls-hbh") {
-    return [&policies, lsa_keys, refresh,
-            defended](AdId) -> std::unique_ptr<Node> {
-      LshhConfig lshh_config;
-      lshh_config.periodic_refresh_ms = refresh;
-      lshh_config.lsa_keys = lsa_keys;
-      lshh_config.registry = defended ? &policies : nullptr;
-      return std::make_unique<LshhNode>(&policies, lshh_config);
+    return [&policies, base = config.lshh](AdId) -> std::unique_ptr<Node> {
+      return std::make_unique<LshhNode>(&policies, base);
     };
   }
   if (arch == "orwg") {
-    return [&policies, lsa_keys, refresh,
-            defended](AdId) -> std::unique_ptr<Node> {
-      OrwgConfig orwg_config;
-      orwg_config.periodic_refresh_ms = refresh;
-      orwg_config.lsa_keys = lsa_keys;
-      orwg_config.route_server.registry = defended ? &policies : nullptr;
-      return std::make_unique<OrwgNode>(&policies, orwg_config);
+    return [&policies, base = config.orwg](AdId) -> std::unique_ptr<Node> {
+      return std::make_unique<OrwgNode>(&policies, base);
     };
   }
   IDR_CHECK_MSG(false, "unknown design point");
@@ -253,15 +235,7 @@ bool ecma_reachable(const Network& net, const Topology& topo,
     const auto [cur, gone_down] = queue.front();
     queue.pop();
     if (cur == dst) return true;
-    if (cur != src) {
-      // Transit shaping mirrors the ECMA adapter: stub/multi-homed ADs
-      // never transit; hybrids transit only toward their own neighbors.
-      if (is_stub_role(topo, cur)) continue;
-      if (topo.ad(cur).role == AdRole::kHybrid &&
-          !topo.find_link(cur, dst)) {
-        continue;
-      }
-    }
+    if (cur != src && !ecma_transits(topo, cur, dst)) continue;
     for (const Adjacency& adj : topo.live_neighbors(cur)) {
       if (!net.usable(adj.neighbor)) continue;
       if (unusable_for(net, adj.neighbor, dst, quarantine_only)) continue;
@@ -318,20 +292,13 @@ PathComplianceFn make_design_compliance(const std::string& arch,
                                         const OrderResult* order) {
   if (arch == "ecma") {
     // ECMA's policy is structural: the delivered walk must be up*down*
-    // shaped and every intermediate must be transit-willing (mirrors
-    // ecma_reachable's shaping).
+    // shaped and every intermediate must be transit-willing.
     IDR_CHECK_MSG(order != nullptr, "ecma compliance needs the order");
     return [&topo, order](AdId, AdId dst, const std::vector<AdId>& path) {
       bool gone_down = false;
       for (std::size_t i = 0; i + 1 < path.size(); ++i) {
         const AdId cur = path[i];
-        if (i > 0) {
-          if (is_stub_role(topo, cur)) return false;
-          if (topo.ad(cur).role == AdRole::kHybrid &&
-              !topo.find_link(cur, dst)) {
-            return false;
-          }
-        }
+        if (i > 0 && !ecma_transits(topo, cur, dst)) return false;
         const bool up = order->order.is_up(cur, path[i + 1]);
         if (gone_down && up) return false;
         if (!up) gone_down = true;

@@ -2,30 +2,35 @@
 // the paper's four detailed design points (ECMA, IDRP, LS-HbH, ORWG) over
 // an arbitrary scenario and interrogate its data plane from the outside.
 //
-// Both adversarial drivers build on this: the chaos layer (core/chaos.*)
-// runs the Figure 1 internetwork through randomized churn, and the
-// deterministic simulation-testing subsystem (simtest/*) runs generated
-// internets through scripted schedules and cross-checks every design
-// point against the ground-truth oracle. Keeping the node factories,
-// forwarding-walk probes and per-design ground-truth reachability in one
-// place guarantees the two drivers argue about the same protocols.
+// Every driver builds on this: the Table-1 adapters (core/adapters.*),
+// the chaos layer (core/chaos.*) that runs the Figure 1 internetwork
+// through randomized churn, the deterministic simulation-testing
+// subsystem (simtest/*) that runs generated internets through scripted
+// schedules and cross-checks every design point against the
+// ground-truth oracle, and the paper-scale profile (core/scale_profile.*).
+// One node factory, one forwarding walk and one per-design ground truth
+// guarantee they all argue about the same protocols.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "policy/database.hpp"
 #include "policy/flow.hpp"
+#include "proto/ecma/ecma_node.hpp"
 #include "proto/ecma/partial_order.hpp"
+#include "proto/idrp/idrp_node.hpp"
+#include "proto/lshh/lshh_node.hpp"
+#include "proto/orwg/orwg_node.hpp"
 #include "sim/invariants.hpp"
 #include "sim/network.hpp"
 #include "topology/graph.hpp"
 
 namespace idr {
-
-struct EcmaConfig;
 
 // The four design points every adversarial driver exercises.
 const std::vector<std::string>& design_point_names();
@@ -39,15 +44,18 @@ const std::vector<std::string>& design_point_names();
 // transit solely toward its own neighbors.
 void shape_ecma_role(EcmaConfig& config, const Topology& topo, AdId ad);
 
+// The transit rule that shaping implies, for the ground-truth oracles:
+// may `ad` carry ECMA traffic toward `dst`?
+[[nodiscard]] bool ecma_transits(const Topology& topo, AdId ad, AdId dst);
+
 // Engine backend selection shared by the differential runner and the
-// scale benches: scheduler choice plus the optional sharded-parallel
-// execution mode. shards <= 1 keeps the engine sequential (the
-// reference backend); shards > 1 partitions the topology along the
-// hierarchy and runs conservative lookahead windows -- inline on the
-// driver thread when threads == 0, or on `threads` workers. Results are
-// byte-identical across all of these for the same seed.
+// scale benches: the optional sharded-parallel execution mode. shards
+// <= 1 keeps the engine sequential (the reference backend); shards > 1
+// partitions the topology along the hierarchy and runs conservative
+// lookahead windows -- inline on the driver thread when threads == 0,
+// or on `threads` workers. Results are byte-identical across all of
+// these for the same seed.
 struct EngineBackend {
-  SchedulerKind scheduler = SchedulerKind::kCalendar;
   std::uint32_t shards = 1;
   unsigned threads = 0;
   // Shrink the window lookahead below the topology's minimum cross-shard
@@ -62,17 +70,34 @@ struct EngineBackend {
 void apply_engine_backend(Engine& engine, const Topology& topo,
                           const EngineBackend& backend);
 
-struct HarnessConfig {
-  // Arm the per-design-point Byzantine defenses (ECMA receiver-side
-  // partial-order enforcement, IDRP clamping, LS/LSHH origin auth, ORWG
-  // registry-validated synthesis).
-  bool defended = false;
-  // Periodic full-state refresh per node; 0 disables.
-  double periodic_refresh_ms = 300.0;
-  // Per-AD LSA authentication keys for the defended LS designs; must
-  // outlive the factory. Ignored when null or not defended.
-  const std::vector<std::uint64_t>* lsa_keys = nullptr;
+// The one config set every construction of the four design points goes
+// through: each family struct is the template every AD's node copies
+// (ECMA's then gets its role shaping). With `dv_originators` set
+// (indexed by AdId, must outlive the factory) only the marked ADs
+// originate ECMA / IDRP reachability; null keeps each template's
+// `originate`.
+struct DesignConfig {
+  EcmaConfig ecma;
+  IdrpConfig idrp;
+  LshhConfig lshh;
+  OrwgConfig orwg;
+  const std::vector<char>* dv_originators = nullptr;
 };
+
+// The adversarial drivers' preset (run_chaos, run_differential):
+// periodic full-state refresh in every design point and, when
+// `defended`, every Byzantine defense armed -- ECMA's receiver-side
+// partial-order enforcement, IDRP's clamping, LS origin authentication
+// under `lsa_keys` and registry-validated synthesis against `policies`.
+// `policies` and `lsa_keys` must outlive the factory.
+[[nodiscard]] DesignConfig adversarial_design_config(
+    double periodic_refresh_ms, bool defended, const PolicySet& policies,
+    const std::vector<std::uint64_t>& lsa_keys);
+
+// Per-AD LSA authentication keys (the modeled shared-secret registry),
+// a pure function of the run's seed.
+[[nodiscard]] std::vector<std::uint64_t> make_lsa_keys(std::uint64_t seed,
+                                                       std::size_t ad_count);
 
 // Node factory for `arch` over (topo, policies). `order` is required for
 // "ecma" (and must outlive the factory), ignored otherwise. The returned
@@ -81,7 +106,50 @@ Network::NodeFactory make_design_factory(const std::string& arch,
                                          const Topology& topo,
                                          const PolicySet& policies,
                                          const OrderResult* order,
-                                         const HarnessConfig& config);
+                                         const DesignConfig& config);
+
+// The one hop-by-hop forwarding walk, shared by the design-point probes
+// and the Table-1 baselines: `next_fn(cur, path)` names the successor of
+// the AD currently holding the packet (nullopt: no forwarding choice, or
+// a crashed node). No choice is a black hole, a revisited AD a loop. A
+// transit AD that is quarantined or actively dropping traffic toward
+// dst (Byzantine black hole / hijack) swallows the packet: the walk
+// records the control plane's choice, the drop is the data plane's
+// fate. A black-hole or looped probe keeps the hops it took.
+//
+// A revisit is found by scanning the path, which is a few hops long. A
+// topology-sized visited set per probe (12.5 KB at 1e5 ADs) would be a
+// heap allocation too large for malloc's per-thread cache on every walk,
+// and its cost follows the allocator's free lists, not the walk.
+template <typename NextFn>
+Probe walk_probe(const Network& net, const Topology& topo, AdId src,
+                 AdId dst, NextFn&& next_fn) {
+  Probe probe;
+  probe.path.push_back(src);
+  AdId cur = src;
+  while (cur != dst) {
+    if (cur != src &&
+        (net.is_quarantined(cur) || net.drops_traffic(cur, dst))) {
+      probe.outcome = ProbeOutcome::kBlackHole;
+      return probe;
+    }
+    const std::optional<AdId> next = next_fn(cur, probe.path);
+    if (!next) {
+      probe.outcome = ProbeOutcome::kBlackHole;
+      return probe;
+    }
+    if (probe.path.size() > topo.ad_count() ||
+        std::find(probe.path.begin(), probe.path.end(), *next) !=
+            probe.path.end()) {
+      probe.outcome = ProbeOutcome::kLooped;
+      return probe;
+    }
+    probe.path.push_back(*next);
+    cur = *next;
+  }
+  probe.outcome = ProbeOutcome::kDelivered;
+  return probe;
+}
 
 // Flow-granular forwarding-walk probe: walks `arch`'s current data plane
 // for one flow (hop-by-hop FIB walk, or the route server's answer for

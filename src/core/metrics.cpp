@@ -30,18 +30,18 @@ ArchEvaluation evaluate_architecture(RoutingArchitecture& arch,
     const bool oracle_has = best.found();
     if (oracle_has) ++eval.oracle_routes;
 
-    const RouteTrace trace = arch.trace(flow);
-    if (trace.looped) {
+    const Probe probe = arch.trace(flow);
+    if (probe.outcome == ProbeOutcome::kLooped) {
       ++eval.looped;
       continue;
     }
-    if (!trace.path) {
+    if (probe.outcome != ProbeOutcome::kDelivered) {
       if (oracle_has) ++eval.missed;
       continue;
     }
     ++eval.found;
-    path_len_sum += static_cast<double>(trace.path->size());
-    const auto cost = policies.path_cost(topo, flow, *trace.path);
+    path_len_sum += static_cast<double>(probe.path.size());
+    const auto cost = policies.path_cost(topo, flow, probe.path);
     if (cost.has_value()) {
       ++eval.legal;
       if (oracle_has && best.cost > 0) {

@@ -1,13 +1,7 @@
 #include "core/scale_profile.hpp"
 
 #include <algorithm>
-#include <memory>
 
-#include "core/design_harness.hpp"
-#include "proto/ecma/ecma_node.hpp"
-#include "proto/idrp/idrp_node.hpp"
-#include "proto/lshh/lshh_node.hpp"
-#include "proto/orwg/orwg_node.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
 
@@ -76,62 +70,23 @@ ScaleProfile make_scale_profile(std::uint32_t target_ads, std::uint64_t seed,
   return profile;
 }
 
+DesignConfig scale_design_config(const ScaleProfile& profile) {
+  DesignConfig config;
+  config.ecma.qos_mask = 1;  // single traffic class at scale
+  config.ecma.mrai_ms = 10.0;  // coalesce the per-beacon update waves
+  config.idrp.routes_per_dest = 1;  // one route per beacon destination
+  config.idrp.mrai_ms = 10.0;
+  config.idrp.shared_updates = true;  // open terms: one encode per wave
+  config.lshh.hierarchical = true;
+  config.orwg.hierarchical = true;
+  config.dv_originators = &profile.is_beacon;
+  return config;
+}
+
 Network::NodeFactory make_scale_factory(const std::string& arch,
-                                        const ScaleProfile& profile,
-                                        const ScaleFactoryOptions& options) {
-  const ScaleProfile* p = &profile;
-  const double refresh = options.periodic_refresh_ms;
-  const DampingConfig damping = options.damping;
-  const double holddown = options.ls_holddown_ms;
-  const GrConfig gr = options.gr;
-  if (arch == "ecma") {
-    return [p, refresh, damping, gr](AdId ad) -> std::unique_ptr<Node> {
-      EcmaConfig config;
-      config.qos_mask = 1;  // single traffic class at scale
-      shape_ecma_role(config, p->topo, ad);
-      config.originate = p->is_beacon[ad.v] != 0;
-      config.mrai_ms = 10.0;  // coalesce the per-beacon update waves
-      config.periodic_refresh_ms = refresh;
-      config.damping = damping;
-      config.gr = gr;
-      return std::make_unique<EcmaNode>(&p->order.order, config);
-    };
-  }
-  if (arch == "idrp") {
-    return [p, refresh, damping, gr](AdId ad) -> std::unique_ptr<Node> {
-      IdrpConfig config;
-      config.routes_per_dest = 1;  // one route per beacon destination
-      config.originate = p->is_beacon[ad.v] != 0;
-      config.mrai_ms = 10.0;
-      config.shared_updates = true;  // open terms: one encode per wave
-      config.periodic_refresh_ms = refresh;
-      config.damping = damping;
-      config.gr = gr;
-      return std::make_unique<IdrpNode>(&p->policies, config);
-    };
-  }
-  if (arch == "ls-hbh") {
-    return [p, refresh, holddown, gr](AdId) -> std::unique_ptr<Node> {
-      LshhConfig config;
-      config.hierarchical = true;
-      config.periodic_refresh_ms = refresh;
-      config.link_holddown_ms = holddown;
-      config.gr = gr;
-      return std::make_unique<LshhNode>(&p->policies, config);
-    };
-  }
-  if (arch == "orwg") {
-    return [p, refresh, holddown, gr](AdId) -> std::unique_ptr<Node> {
-      OrwgConfig config;
-      config.hierarchical = true;
-      config.periodic_refresh_ms = refresh;
-      config.link_holddown_ms = holddown;
-      config.gr = gr;
-      return std::make_unique<OrwgNode>(&p->policies, config);
-    };
-  }
-  IDR_CHECK_MSG(false, "unknown design point");
-  return {};
+                                        const ScaleProfile& profile) {
+  return make_design_factory(arch, profile.topo, profile.policies,
+                             &profile.order, scale_design_config(profile));
 }
 
 ShardPlan make_scale_shard_plan(const ScaleProfile& profile,

@@ -21,8 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "core/design_harness.hpp"
 #include "policy/database.hpp"
-#include "proto/common/damping.hpp"
 #include "proto/ecma/partial_order.hpp"
 #include "sim/network.hpp"
 #include "sim/shard.hpp"
@@ -50,21 +50,16 @@ struct ScaleProfile {
                                               std::uint64_t seed,
                                               std::uint32_t beacon_count = 64);
 
-// Recovery knobs for the chaos-at-scale runs. Defaults reproduce the
-// plain factory exactly, so the scale-matrix baselines are unaffected.
-struct ScaleFactoryOptions {
-  double periodic_refresh_ms = 0.0;  // as in HarnessConfig (0 disables)
-  DampingConfig damping;          // DV family (ECMA, IDRP)
-  double ls_holddown_ms = 0.0;    // LS family (LS-HbH, ORWG)
-  GrConfig gr;                    // graceful restart, all four families
-};
+// The scale runs' preset (make_scale_factory, run_scale_chaos): one
+// traffic class, 10 ms MRAI, one IDRP route per beacon with shared
+// updates, hierarchical LS, and only the profile's beacons originate DV
+// reachability. The profile must outlive the factory.
+[[nodiscard]] DesignConfig scale_design_config(const ScaleProfile& profile);
 
-// Node factory for one design point over the profile (profile must
-// outlive the factory). DV nodes originate only at beacons; LS nodes run
-// hierarchical.
+// Node factory for one design point over the profile with that preset
+// (profile must outlive the factory).
 [[nodiscard]] Network::NodeFactory make_scale_factory(
-    const std::string& arch, const ScaleProfile& profile,
-    const ScaleFactoryOptions& options = {});
+    const std::string& arch, const ScaleProfile& profile);
 
 // Hierarchy-aware shard plan over the profile's topology: regional
 // subtrees stay whole (a region's metros and campuses ride with their

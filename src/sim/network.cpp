@@ -93,19 +93,7 @@ void Node::keepalive_tick() {
       nl.probe_interval_ms = std::min(
           nl.probe_interval_ms * keepalive_.backoff_factor,
           static_cast<double>(keepalive_.max_probe_interval_ms));
-      SimTime spacing = nl.probe_interval_ms;
-      if (keepalive_.probe_jitter > 0.0) {
-        // Deterministic per-(AD, slot) phase: spreads the re-establishment
-        // probes of a dead AD's many neighbors so its recovery is not met
-        // by one synchronized retry storm.
-        std::uint64_t h = (static_cast<std::uint64_t>(self_.v) << 20) ^
-                          (static_cast<std::uint64_t>(slot) + 1);
-        h *= 0x9E3779B97F4A7C15ull;
-        const double frac =
-            static_cast<double>((h >> 40) & 0xFFFFFFu) / 16777216.0;
-        spacing *= 1.0 + keepalive_.probe_jitter * frac;
-      }
-      nl.next_probe_at = now + spacing;
+      nl.next_probe_at = now + nl.probe_interval_ms;
     }
   }
   schedule_keepalive_tick(keepalive_.interval_ms);
@@ -550,8 +538,6 @@ void Network::set_overload(const OverloadConfig& config) {
                 "overload protection is sequential-only: the shared "
                 "OverloadStats aggregate is written from delivery events");
   overload_ = config;
-  if (overload_.service_batch == 0) overload_.service_batch = 1;
-  if (overload_.service_interval_ms <= 0.0) overload_.service_interval_ms = 1.0;
   if (overload_.enabled() && ingress_.size() < nodes_.size()) {
     ingress_.resize(nodes_.size());
   }
@@ -592,7 +578,7 @@ void Network::enqueue_ingress(AdId from, AdId to, LinkId link, Payload payload,
   }
   if (!iq.service_scheduled) {
     iq.service_scheduled = true;
-    engine_.after_node(overload_.service_interval_ms, to.v + 1, to.v,
+    engine_.after_node(OverloadConfig::kServiceIntervalMs, to.v + 1, to.v,
                        [this, to] { service_ingress(to); });
   }
 }
@@ -600,7 +586,7 @@ void Network::enqueue_ingress(AdId from, AdId to, LinkId link, Payload payload,
 void Network::service_ingress(AdId to) {
   IngressQueue& iq = ingress_[to.v];
   iq.service_scheduled = false;
-  std::size_t budget = overload_.service_batch;
+  std::size_t budget = OverloadConfig::kServiceBatch;
   for (std::size_t c = 0; c < kMsgClassCount && budget > 0; ++c) {
     while (budget > 0 && !iq.cls[c].empty()) {
       QueuedFrame f = std::move(iq.cls[c].front());
@@ -628,7 +614,7 @@ void Network::service_ingress(AdId to) {
   }
   if (iq.depth > 0 && !iq.service_scheduled) {
     iq.service_scheduled = true;
-    engine_.after_node(overload_.service_interval_ms, to.v + 1, to.v,
+    engine_.after_node(OverloadConfig::kServiceIntervalMs, to.v + 1, to.v,
                        [this, to] { service_ingress(to); });
   }
 }

@@ -133,8 +133,9 @@ struct OverloadConfig {
   // overload protection entirely: frames dispatch at arrival, the
   // pre-existing (byte-identical) behavior.
   std::size_t queue_limit = 0;
-  std::size_t service_batch = 16;  // frames dispatched per service event
-  SimTime service_interval_ms = 1.0;
+  // Frames dispatched per service event, and the service period.
+  static constexpr std::size_t kServiceBatch = 16;
+  static constexpr SimTime kServiceIntervalMs = 0.5;
 
   [[nodiscard]] bool enabled() const noexcept { return queue_limit > 0; }
 };
@@ -179,12 +180,6 @@ struct KeepaliveConfig {
   std::uint32_t miss_threshold = 3;
   double backoff_factor = 2.0;
   SimTime max_probe_interval_ms = 0.0;  // 0 => 8 * interval_ms
-  // Deterministic per-(AD, slot) stretch applied to the backed-off probe
-  // spacing, as a fraction of the spacing (0.25 => up to +25%). Without
-  // it every neighbor of a flapping AD probes in lockstep and the
-  // re-establishment attempts arrive as one synchronized retry storm.
-  // 0 keeps probe schedules byte-identical to the unjittered behavior.
-  double probe_jitter = 0.0;
 };
 
 // A protocol entity running inside one AD (the paper's Route Server /

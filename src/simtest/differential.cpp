@@ -143,7 +143,6 @@ ArchRunOutput run_one(const std::string& arch, const SimCase& c,
 
   Engine engine(options.scheduler);
   EngineBackend backend;
-  backend.scheduler = options.scheduler;
   backend.shards = options.shards;
   backend.threads = options.threads;
   backend.lookahead_ms = options.lookahead_ms;
@@ -162,21 +161,12 @@ ArchRunOutput run_one(const std::string& arch, const SimCase& c,
   }
   const bool defended = !byz.empty();
   std::vector<std::uint64_t> lsa_keys;
-  if (defended) {
-    std::uint64_t key_state = c.seed ^ 0x6b657973ULL;
-    lsa_keys.resize(topo.ad_count());
-    for (auto& key : lsa_keys) {
-      key = splitmix64(key_state);
-      if (key == 0) key = 1;
-    }
-  }
+  if (defended) lsa_keys = make_lsa_keys(c.seed, topo.ad_count());
 
-  HarnessConfig harness;
-  harness.defended = defended;
-  harness.periodic_refresh_ms = c.periodic_refresh_ms;
-  harness.lsa_keys = &lsa_keys;
-  Network::NodeFactory factory =
-      make_design_factory(arch, topo, policies, &order, harness);
+  Network::NodeFactory factory = make_design_factory(
+      arch, topo, policies, &order,
+      adversarial_design_config(c.periodic_refresh_ms, defended, policies,
+                                lsa_keys));
   net.set_node_factory(factory);
   for (const Ad& ad : topo.ads()) net.attach(ad.id, factory(ad.id));
 

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "core/chaos.hpp"
+#include "core/design_harness.hpp"
 #include "pins.hpp"
 #include "proto/ecma/ecma_node.hpp"
 #include "proto/ecma/partial_order.hpp"
@@ -124,7 +125,7 @@ const std::map<std::string, RunPin> kUndefendedPins = {
     {"orwg", {0x59132f82c4eb834eull, 15499, 0, 0}}};
 
 TEST(ByzantineChaos, DefendedRunsContainEveryDesignPoint) {
-  for (const std::string& arch : chaos_design_points()) {
+  for (const std::string& arch : design_point_names()) {
     SCOPED_TRACE(arch);
     const ChaosResult r = run_chaos(arch, byzantine_params(true));
     expect_pinned(r, kDefendedPins.at(arch));
@@ -141,7 +142,7 @@ TEST(ByzantineChaos, DefendedRunsContainEveryDesignPoint) {
 TEST(ByzantineChaos, UndefendedRunsShowBlastRadius) {
   std::uint64_t violation_pairs = 0;
   double worst_pollution = 0.0;
-  for (const std::string& arch : chaos_design_points()) {
+  for (const std::string& arch : design_point_names()) {
     SCOPED_TRACE(arch);
     const ChaosResult r = run_chaos(arch, byzantine_params(false));
     expect_pinned(r, kUndefendedPins.at(arch));

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/chaos.hpp"
+#include "core/design_harness.hpp"
 #include "pins.hpp"
 #include "policy/generator.hpp"
 #include "proto/idrp/idrp_node.hpp"
@@ -179,7 +180,7 @@ TEST(Chaos, SoakAllDesignPointsCleanAndDeterministic) {
   ChaosParams params;
   params.seed = 3;
   params.horizon_ms = 4'000.0;
-  for (const std::string& arch : chaos_design_points()) {
+  for (const std::string& arch : design_point_names()) {
     SCOPED_TRACE(arch);
     const ChaosResult first = run_chaos(arch, params);
     const ChaosResult second = run_chaos(arch, params);

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "core/chaos.hpp"
+#include "core/design_harness.hpp"
 #include "pins.hpp"
 
 namespace idr {
@@ -59,7 +60,7 @@ const Pins kFlapHeldLsPins = {
     {"orwg", {0x32a9ab24c45b14f1ull, 8204, 53, 0}}};
 
 TEST(ChaosScale, PartitionHealsCleanlyAtOneThousandAds) {
-  for (const std::string& arch : chaos_design_points()) {
+  for (const std::string& arch : design_point_names()) {
     SCOPED_TRACE(arch);
     const ScaleChaosResult result =
         run_scale_chaos(arch, scale_params(StormFamily::kPartition));
@@ -80,15 +81,13 @@ TEST(ChaosScale, RestartStormGracefulRestartProtectsContinuity) {
   // through the staggered transit crashes must beat the cold-restart
   // baseline and every grace window must end in a recovery handover
   // (grace > outage), with zero persistent damage on both sides.
-  for (const std::string& arch : chaos_design_points()) {
+  for (const std::string& arch : design_point_names()) {
     SCOPED_TRACE(arch);
     ScaleChaosParams cold = scale_params(StormFamily::kRestartStorm);
     ScaleChaosParams gr = cold;
     gr.gr.enabled = true;
     gr.gr.grace_ms = 2'000.0;  // > restart_down_ms: recovery within grace
     gr.overload.queue_limit = 64;
-    gr.overload.service_batch = 16;
-    gr.overload.service_interval_ms = 0.5;
 
     const ScaleChaosResult off = run_scale_chaos(arch, cold);
     const ScaleChaosResult on = run_scale_chaos(arch, gr);
@@ -112,7 +111,7 @@ TEST(ChaosScale, RestartStormGraceExpiryFlushesStaleState) {
   // Grace window SHORTER than the outage: every window must expire into
   // a stale flush, and the flush must leave no persistent stale route
   // behind once the network reconverges.
-  for (const std::string& arch : chaos_design_points()) {
+  for (const std::string& arch : design_point_names()) {
     SCOPED_TRACE(arch);
     ScaleChaosParams params = scale_params(StormFamily::kRestartStorm);
     params.gr.enabled = true;

@@ -78,13 +78,13 @@ TEST_P(ScenarioSweep, EcmaRoutesAreValleyFreeAndLoopFree) {
   ecma.build(scenario_.topo, scenario_.policies);
   const PartialOrder& order = ecma.order_result().order;
   for (const FlowSpec& flow : scenario_.flows) {
-    const RouteTrace trace = ecma.trace(flow);
-    EXPECT_FALSE(trace.looped);
-    if (!trace.path) continue;
+    const Probe trace = ecma.trace(flow);
+    EXPECT_NE(trace.outcome, ProbeOutcome::kLooped);
+    if (trace.outcome != ProbeOutcome::kDelivered) continue;
     // Up*down* shape.
     bool went_down = false;
-    for (std::size_t i = 0; i + 1 < trace.path->size(); ++i) {
-      const bool up = order.is_up((*trace.path)[i], (*trace.path)[i + 1]);
+    for (std::size_t i = 0; i + 1 < trace.path.size(); ++i) {
+      const bool up = order.is_up(trace.path[i], trace.path[i + 1]);
       if (up) {
         EXPECT_FALSE(went_down);
       }
@@ -92,7 +92,7 @@ TEST_P(ScenarioSweep, EcmaRoutesAreValleyFreeAndLoopFree) {
     }
     // Loop-freedom double check.
     std::set<std::uint32_t> seen;
-    for (AdId ad : *trace.path) EXPECT_TRUE(seen.insert(ad.v).second);
+    for (AdId ad : trace.path) EXPECT_TRUE(seen.insert(ad.v).second);
   }
 }
 
@@ -196,18 +196,19 @@ TEST_P(ChurnSweep, InvariantsHoldAfterChurn) {
   const Oracle oracle(orwg.topo(), scenario.policies);
   for (const FlowSpec& flow : scenario.flows) {
     const SynthesisResult best = oracle.best_route(flow);
-    const RouteTrace trace = orwg.trace(flow);
-    EXPECT_FALSE(trace.looped);
-    EXPECT_EQ(trace.path.has_value(), best.found()) << "seed " << GetParam();
-    if (trace.path) {
+    const Probe trace = orwg.trace(flow);
+    EXPECT_NE(trace.outcome, ProbeOutcome::kLooped);
+    const bool delivered = trace.outcome == ProbeOutcome::kDelivered;
+    EXPECT_EQ(delivered, best.found()) << "seed " << GetParam();
+    if (delivered) {
       EXPECT_TRUE(scenario.policies.path_is_legal(orwg.topo(), flow,
-                                                  *trace.path));
+                                                  trace.path));
     }
-    const RouteTrace hbh = lshh.trace(flow);
-    EXPECT_FALSE(hbh.looped);
-    if (hbh.path) {
+    const Probe hbh = lshh.trace(flow);
+    EXPECT_NE(hbh.outcome, ProbeOutcome::kLooped);
+    if (hbh.outcome == ProbeOutcome::kDelivered) {
       EXPECT_TRUE(
-          scenario.policies.path_is_legal(lshh.topo(), flow, *hbh.path));
+          scenario.policies.path_is_legal(lshh.topo(), flow, hbh.path));
     }
   }
 }

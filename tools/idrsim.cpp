@@ -236,19 +236,19 @@ int main(int argc, char** argv) {
     const auto flow = parse_flow(i);
     if (!flow) return usage(argv[0]);
     arch->build(topo, policies);
-    const RouteTrace trace = arch->trace(*flow);
-    if (trace.looped) {
+    const Probe probe = arch->trace(*flow);
+    if (probe.outcome == ProbeOutcome::kLooped) {
       std::printf("forwarding LOOPED\n");
       return 3;
     }
-    if (!trace.path) {
+    if (probe.outcome != ProbeOutcome::kDelivered) {
       std::printf("no route\n");
       return 3;
     }
     const Oracle oracle(topo, policies);
     std::printf("legal=%s\n",
-                oracle.is_legal(*flow, *trace.path) ? "yes" : "NO");
-    print_path(topo, *trace.path);
+                oracle.is_legal(*flow, probe.path) ? "yes" : "NO");
+    print_path(topo, probe.path);
     return 0;
   }
 

@@ -332,7 +332,7 @@ void run_chaos_scale(std::uint32_t ads, std::uint64_t seed,
   };
   for (const StormFamily storm : storm_families()) {
     if (storm == StormFamily::kRestartStorm) continue;  // the restart matrix
-    for (const std::string& arch : chaos_design_points()) {
+    for (const std::string& arch : design_point_names()) {
       add(arch, storm_params(ads, seed, storm));
     }
   }
@@ -363,7 +363,7 @@ constexpr RestartMode kRestartModes[] = {
 
 void run_restart(std::uint32_t ads, std::uint64_t seed,
                  std::vector<Row>& rows) {
-  for (const std::string& arch : chaos_design_points()) {
+  for (const std::string& arch : design_point_names()) {
     for (const RestartMode& mode : kRestartModes) {
       ScaleChaosParams params =
           storm_params(ads, seed, StormFamily::kRestartStorm);
@@ -372,8 +372,6 @@ void run_restart(std::uint32_t ads, std::uint64_t seed,
         params.gr.enabled = true;
         params.gr.grace_ms = mode.grace_ms;
         params.overload.queue_limit = 64;
-        params.overload.service_batch = 16;
-        params.overload.service_interval_ms = 0.5;
       }
       StormRun run = run_storm(arch, params);
       const ScaleChaosResult& s = run.s;
@@ -466,7 +464,7 @@ void run_figure1_chaos(std::uint32_t, std::uint64_t seed,
                        std::vector<Row>& rows) {
   ChaosParams params;
   params.seed = seed;
-  for (const std::string& arch : chaos_design_points()) {
+  for (const std::string& arch : design_point_names()) {
     add_figure1_row(arch, params, rows);
   }
 }
@@ -475,7 +473,7 @@ void run_figure1_chaos(std::uint32_t, std::uint64_t seed,
 // polluted pair is attributable to misbehaviour. Provider/customer
 // policies give a route leak a transit promise to break.
 void run_byzantine(std::uint32_t, std::uint64_t seed, std::vector<Row>& rows) {
-  for (const std::string& arch : chaos_design_points()) {
+  for (const std::string& arch : design_point_names()) {
     for (const bool defended : {false, true}) {
       ChaosParams params;
       params.seed = seed;
