@@ -60,17 +60,17 @@ int main() {
   conn.send(chunk_message(0));
   engine.run();
 
-  net.set_loss(0.15, /*seed=*/2026);
+  net.set_faults({.loss_rate = 0.15}, /*seed=*/2026);
   constexpr int kChunks = 200;
   for (int i = 1; i < kChunks; ++i) conn.send(chunk_message(i));
   engine.run();
-  net.set_loss(0.0, 0);
+  net.set_faults({}, 0);
 
   std::printf("chunks sent:          %d\n", kChunks);
   std::printf("chunks delivered:     %zu (%s)\n", received,
               in_order ? "in order" : "OUT OF ORDER");
   std::printf("network losses:       %llu packets\n",
-              static_cast<unsigned long long>(net.losses()));
+              static_cast<unsigned long long>(net.total().msgs_lost));
   std::printf("GBN retransmissions:  %llu\n",
               static_cast<unsigned long long>(conn.retransmissions()));
   std::printf("duplicates discarded: %llu (receiver side)\n",

@@ -18,6 +18,46 @@
 
 namespace idr {
 
+namespace {
+
+// --- run_chaos: churn processes, liveness and refresh ------------------
+// Exponential up/down times of each link's and each AD's churn process.
+constexpr SimTime kLinkMeanUptimeMs = 1'500.0;
+constexpr SimTime kLinkMeanDowntimeMs = 250.0;
+constexpr SimTime kNodeMeanUptimeMs = 4'000.0;
+constexpr SimTime kNodeMeanDowntimeMs = 300.0;
+// The link-state oracle is off: failure detection is the keepalive
+// machinery's job. 4 misses: with ~2% frame corruption a 3-miss hold
+// timer false-positives a healthy neighbor once in a few hundred seconds.
+constexpr KeepaliveConfig kKeepalive{.interval_ms = 30.0,
+                                     .miss_threshold = 4};
+// Periodic full-state refresh per node; bounds the staleness left by a
+// lost/corrupted triggered update.
+constexpr double kPeriodicRefreshMs = 300.0;
+
+// --- run_scale_chaos: storm shapes -------------------------------------
+constexpr SimTime kStormOnsetDelayMs = 200.0;  // quiet gap after convergence
+constexpr SimTime kStormTailMs = 4'000.0;      // min quiet tail after the storm
+// Flap storm: this many transit-transit links each run a seeded flap
+// process (random phase) with this period and duty.
+constexpr std::size_t kFlapLinks = 8;
+constexpr SimTime kFlapPeriodMs = 200.0;
+constexpr double kFlapDuty = 0.5;
+// Withdrawal storm: this many beacon access links drop for
+// kWithdrawDownMs, in kWithdrawWaves waves kWithdrawGapMs apart.
+constexpr std::size_t kWithdrawBeacons = 8;
+constexpr SimTime kWithdrawDownMs = 400.0;
+constexpr std::uint32_t kWithdrawWaves = 2;
+constexpr SimTime kWithdrawGapMs = 400.0;
+// Partition / core outage: time the uplink(s) stay down before healing.
+constexpr SimTime kOutageMs = 600.0;
+// Restart storm: crashes kRestartStaggerMs apart within a wave; the next
+// wave starts kRestartGapMs after the previous wave's first restart.
+constexpr SimTime kRestartGapMs = 500.0;
+constexpr SimTime kRestartStaggerMs = 40.0;
+
+}  // namespace
+
 ChaosResult run_chaos(const std::string& arch, const ChaosParams& params) {
   Figure1 fig = build_figure1();
   Topology& topo = fig.topo;
@@ -82,15 +122,15 @@ ChaosResult run_chaos(const std::string& arch, const ChaosParams& params) {
   }
   Network::NodeFactory factory = make_design_factory(
       arch, topo, policies, &order,
-      adversarial_design_config(params.periodic_refresh_ms, defended,
-                                policies, lsa_keys));
+      adversarial_design_config(kPeriodicRefreshMs, defended, policies,
+                                lsa_keys));
 
   net.set_node_factory(factory);
   for (const Ad& ad : topo.ads()) net.attach(ad.id, factory(ad.id));
-  net.set_link_notifications(params.link_notifications);
+  net.set_link_notifications(false);
   std::uint64_t seed_state = params.seed;
   net.set_faults(params.faults, splitmix64(seed_state));
-  if (params.keepalive.interval_ms > 0.0) net.set_keepalive(params.keepalive);
+  net.set_keepalive(kKeepalive);
   for (const ByzantineSpec& spec : byz_schedule) {
     net.set_misbehavior(spec);
     if (defended) {
@@ -109,20 +149,19 @@ ChaosResult run_chaos(const std::string& arch, const ChaosParams& params) {
   InvariantMonitor::ReachableFn reachable =
       make_design_reachable(arch, net, topo, policies, &order);
 
-  InvariantMonitor monitor(net, params.invariants, probe);
+  InvariantMonitor monitor(net,
+                           {.cadence_ms = 100.0,
+                            .reconverge_window_ms = 1'500.0,
+                            .sample_pairs = 48},
+                           probe);
   monitor.set_reachable_fn(reachable);
   const std::size_t link_cls = monitor.register_fault_class("link");
   const std::size_t node_cls = monitor.register_fault_class("node");
-  const SimTime link_window = params.reconverge.link_ms;
-  const SimTime node_window = params.reconverge.node_ms;
+  // Link and node faults share the monitor's one reconvergence window.
   net.set_churn_observer(
-      [&monitor, link_cls, node_cls, link_window,
-       node_window](Network::ChurnKind kind) {
-        if (kind == Network::ChurnKind::kNode) {
-          monitor.note_fault(node_cls, node_window);
-        } else {
-          monitor.note_fault(link_cls, link_window);
-        }
+      [&monitor, link_cls, node_cls](Network::ChurnKind kind) {
+        monitor.note_fault(
+            kind == Network::ChurnKind::kNode ? node_cls : link_cls, -1.0);
       });
   monitor.start(params.horizon_ms);
 
@@ -132,10 +171,11 @@ ChaosResult run_chaos(const std::string& arch, const ChaosParams& params) {
     // Pollution is measured against what SHOULD be reachable: the
     // topology with every AD behaving (droppers included), minus
     // anything containment already quarantined.
-    AuditConfig audit_config = params.audit;
-    audit_config.onset_ms = params.byzantine.onset_ms;
     auditor = std::make_unique<PolicyComplianceAuditor>(
-        net, audit_config, probe,
+        net,
+        AuditConfig{.onset_ms = params.byzantine.onset_ms,
+                    .sample_pairs = params.audit_sample_pairs},
+        probe,
         make_design_reachable(arch, net, topo, policies, &order,
                               /*quarantine_only=*/true),
         make_design_compliance(arch, topo, policies, &order));
@@ -147,10 +187,10 @@ ChaosResult run_chaos(const std::string& arch, const ChaosParams& params) {
   const SimTime churn_end = params.horizon_ms * params.churn_fraction;
   Prng link_prng(splitmix64(seed_state));
   Prng node_prng(splitmix64(seed_state));
-  injector.random_failures(link_prng, params.link_mean_uptime_ms,
-                           params.link_mean_downtime_ms, churn_end);
-  injector.random_crashes(node_prng, params.node_mean_uptime_ms,
-                          params.node_mean_downtime_ms, churn_end);
+  injector.random_failures(link_prng, kLinkMeanUptimeMs, kLinkMeanDowntimeMs,
+                           churn_end);
+  injector.random_crashes(node_prng, kNodeMeanUptimeMs, kNodeMeanDowntimeMs,
+                          churn_end);
 
   // Keepalives reschedule forever, so drive to the horizon rather than
   // draining the queue.
@@ -160,7 +200,6 @@ ChaosResult run_chaos(const std::string& arch, const ChaosParams& params) {
   result.arch = arch;
   result.invariants = monitor.stats();
   result.totals = net.total();
-  result.losses = net.losses();
   result.link_failures = injector.failures_injected();
   result.node_crashes = injector.crashes_injected();
   result.counter_fingerprint = counter_fingerprint(net, topo);
@@ -194,8 +233,7 @@ const std::vector<StormFamily>& storm_families() {
 
 ScaleChaosResult run_scale_chaos(const std::string& arch,
                                  const ScaleChaosParams& params) {
-  ScaleProfile profile =
-      make_scale_profile(params.target_ads, params.seed, params.beacon_count);
+  ScaleProfile profile = make_scale_profile(params.target_ads, params.seed);
   Topology& topo = profile.topo;
 
   Engine engine(SchedulerKind::kCalendar);
@@ -206,10 +244,6 @@ ScaleChaosResult run_scale_chaos(const std::string& arch,
   config.idrp.damping = params.damping;
   config.lshh.link_holddown_ms = params.ls_holddown_ms;
   config.orwg.link_holddown_ms = params.ls_holddown_ms;
-  config.ecma.gr = params.gr;
-  config.idrp.gr = params.gr;
-  config.lshh.gr = params.gr;
-  config.orwg.gr = params.gr;
   Network::NodeFactory factory = make_design_factory(
       arch, topo, profile.policies, &profile.order, config);
   net.set_node_factory(factory);
@@ -219,12 +253,12 @@ ScaleChaosResult run_scale_chaos(const std::string& arch,
   // storm under liveness traffic (run_chaos soaks the keepalive path
   // at Figure 1 scale).
   net.set_link_notifications(true);
+  net.set_graceful_restart(params.gr);
   if (params.storm == StormFamily::kRestartStorm) {
     // Node outages are real crashes here, observed through the crash
     // oracle (the GR restart-signaling model: down = enter grace, up =
     // recovery signal triggering the resync).
     net.set_crash_notifications(true);
-    if (params.gr.enabled) net.set_graceful_restart(params.gr);
   }
   net.start_all();
 
@@ -233,6 +267,7 @@ ScaleChaosResult run_scale_chaos(const std::string& arch,
   result.storm = params.storm;
   result.ads = static_cast<std::uint32_t>(topo.ad_count());
   result.transit_ads = static_cast<std::uint32_t>(profile.transits.size());
+  result.beacons = static_cast<std::uint32_t>(profile.beacons.size());
 
   // Cold convergence first: the storm hits a settled network.
   engine.run();
@@ -246,15 +281,12 @@ ScaleChaosResult run_scale_chaos(const std::string& arch,
   }
 
   // --- monitor: beacon destinations, stratified source slice ----------
-  InvariantConfig inv = params.invariants;
-  inv.dst_pool = profile.beacons;
-  if (inv.src_pool.empty()) {
-    const std::size_t want = 256;
-    const std::size_t step =
-        std::max<std::size_t>(1, topo.ad_count() / want);
-    for (std::size_t v = 0; v < topo.ad_count(); v += step) {
-      inv.src_pool.push_back(AdId{static_cast<std::uint32_t>(v)});
-    }
+  InvariantConfig inv{.cadence_ms = 250.0,
+                      .reconverge_window_ms = 1'500.0,
+                      .dst_pool = profile.beacons};
+  const std::size_t step = std::max<std::size_t>(1, topo.ad_count() / 256);
+  for (std::size_t v = 0; v < topo.ad_count(); v += step) {
+    inv.src_pool.push_back(AdId{static_cast<std::uint32_t>(v)});
   }
   InvariantMonitor monitor(
       net, inv, make_pair_probe(make_design_probe(arch, net, topo)));
@@ -263,24 +295,17 @@ ScaleChaosResult run_scale_chaos(const std::string& arch,
   const std::size_t storm_cls =
       monitor.register_fault_class(to_string(params.storm));
 
-  SimTime window = params.invariants.reconverge_window_ms;
-  switch (params.storm) {
-    case StormFamily::kFlapStorm: window = params.windows.flap_ms; break;
-    case StormFamily::kWithdrawStorm:
-      window = params.windows.withdraw_ms;
-      break;
-    case StormFamily::kPartition:
-      window = params.windows.partition_ms;
-      break;
-    case StormFamily::kCoreOutage:
-      window = params.windows.core_outage_ms;
-      break;
-    case StormFamily::kRestartStorm:
-      window = params.windows.restart_ms;
-      // The grace window is designed-in retention: a flush at its expiry
-      // legitimately re-opens convergence that long after the crash.
-      if (params.gr.enabled) window += params.gr.grace_ms;
-      break;
+  // Storm-class reconvergence window, measured from the LAST transition
+  // of the storm (every transition extends the deadline).
+  SimTime window = 3'000.0;  // partition, core outage, restart storm
+  if (params.storm == StormFamily::kFlapStorm ||
+      params.storm == StormFamily::kWithdrawStorm) {
+    window = 2'000.0;
+  }
+  if (params.storm == StormFamily::kRestartStorm && params.gr.enabled) {
+    // The grace window is designed-in retention: a flush at its expiry
+    // legitimately re-opens convergence that long after the crash.
+    window += params.gr.grace_ms;
   }
   if (params.damping.enabled) {
     // A damped route is EXPECTED to stay dark past the last transition:
@@ -300,7 +325,7 @@ ScaleChaosResult run_scale_chaos(const std::string& arch,
 
   // --- storm schedule --------------------------------------------------
   FailureInjector injector(net);
-  const SimTime t0 = result.converge_ms + params.onset_delay_ms;
+  const SimTime t0 = result.converge_ms + kStormOnsetDelayMs;
   result.storm_begin_ms = t0;
   SimTime last = t0;
   std::uint64_t storm_state = params.seed ^ 0x73746f726dULL;  // "storm"
@@ -321,21 +346,18 @@ ScaleChaosResult run_scale_chaos(const std::string& arch,
         }
       }
       prng.shuffle(core_links);
-      const std::size_t n = std::min(params.flap_links, core_links.size());
+      const std::size_t n = std::min(kFlapLinks, core_links.size());
       IDR_CHECK_MSG(n > 0, "scale chaos: no transit-transit links to flap");
-      const SimTime down_ms =
-          params.flap_period_ms * std::clamp(params.flap_duty, 0.01, 0.99);
+      const SimTime down_ms = kFlapPeriodMs * kFlapDuty;
       for (std::size_t i = 0; i < n; ++i) {
         // Random phase so the per-link processes interleave instead of
         // beating in lockstep.
         const SimTime phase =
-            params.flap_period_ms *
-            (static_cast<double>(prng.below(1024)) / 1024.0);
-        injector.flap_link(core_links[i], t0 + phase, params.flap_period_ms,
-                           params.flap_duty, params.flap_cycles);
+            kFlapPeriodMs * (static_cast<double>(prng.below(1024)) / 1024.0);
+        injector.flap_link(core_links[i], t0 + phase, kFlapPeriodMs,
+                           kFlapDuty, params.flap_cycles);
         last = std::max(last, t0 + phase +
-                                  (params.flap_cycles - 1) *
-                                      params.flap_period_ms +
+                                  (params.flap_cycles - 1) * kFlapPeriodMs +
                                   down_ms);
       }
       break;
@@ -343,20 +365,18 @@ ScaleChaosResult run_scale_chaos(const std::string& arch,
     case StormFamily::kWithdrawStorm: {
       std::vector<AdId> pool = profile.beacons;
       prng.shuffle(pool);
-      const std::size_t n = std::min(params.withdraw_beacons, pool.size());
+      const std::size_t n = std::min(kWithdrawBeacons, pool.size());
       IDR_CHECK_MSG(n > 0, "scale chaos: no beacons to withdraw");
-      for (std::uint32_t w = 0; w < params.withdraw_waves; ++w) {
-        const SimTime wave_at =
-            t0 + w * (params.withdraw_down_ms + params.withdraw_gap_ms);
+      for (std::uint32_t w = 0; w < kWithdrawWaves; ++w) {
+        const SimTime wave_at = t0 + w * (kWithdrawDownMs + kWithdrawGapMs);
         for (std::size_t i = 0; i < n; ++i) {
           // Single-homed stubs: the one access link is the beacon's
           // entire attachment; down = the destination goes dark.
           const auto adjs = topo.neighbors(pool[i]);
           IDR_CHECK_MSG(!adjs.empty(), "beacon with no access link");
-          injector.fail_link_at(adjs.front().link, wave_at,
-                                params.withdraw_down_ms);
+          injector.fail_link_at(adjs.front().link, wave_at, kWithdrawDownMs);
         }
-        last = std::max(last, wave_at + params.withdraw_down_ms);
+        last = std::max(last, wave_at + kWithdrawDownMs);
       }
       break;
     }
@@ -375,12 +395,12 @@ ScaleChaosResult run_scale_chaos(const std::string& arch,
       std::size_t cut = 0;
       for (const Adjacency& adj : topo.neighbors(regional)) {
         if (topo.can_transit(adj.neighbor)) {
-          injector.fail_link_at(adj.link, t0, params.outage_ms);
+          injector.fail_link_at(adj.link, t0, kOutageMs);
           ++cut;
         }
       }
       IDR_CHECK_MSG(cut > 0, "scale chaos: regional had no uplink");
-      last = t0 + params.outage_ms;
+      last = t0 + kOutageMs;
       break;
     }
     case StormFamily::kCoreOutage: {
@@ -392,23 +412,23 @@ ScaleChaosResult run_scale_chaos(const std::string& arch,
         }
       }
       IDR_CHECK_MSG(backbone.valid(), "scale chaos: no backbone AD");
-      injector.fail_node_links_at(backbone, t0, params.outage_ms);
-      last = t0 + params.outage_ms;
+      injector.fail_node_links_at(backbone, t0, kOutageMs);
+      last = t0 + kOutageMs;
       break;
     }
     case StormFamily::kRestartStorm: {
       std::vector<AdId> pool = profile.transits;
       prng.shuffle(pool);
-      const std::size_t n = std::min(params.restart_nodes, pool.size());
+      const std::size_t n = std::min(kRestartStormNodes, pool.size());
       IDR_CHECK_MSG(n > 0, "scale chaos: no transit ADs to restart");
-      for (std::uint32_t w = 0; w < params.restart_waves; ++w) {
+      for (std::uint32_t w = 0; w < kRestartStormWaves; ++w) {
         const SimTime wave_at =
-            t0 + w * (params.restart_down_ms + params.restart_gap_ms);
+            t0 + w * (params.restart_down_ms + kRestartGapMs);
         for (std::size_t i = 0; i < n; ++i) {
           // Staggered, not synchronized: each AD's crash lands a little
           // after the previous one's, the overload queues see a rolling
           // wave rather than one impulse.
-          const SimTime at = wave_at + i * params.restart_stagger_ms;
+          const SimTime at = wave_at + i * kRestartStaggerMs;
           injector.crash_node_at(pool[i], at, params.restart_down_ms);
           last = std::max(last, at + params.restart_down_ms);
         }
@@ -427,8 +447,7 @@ ScaleChaosResult run_scale_chaos(const std::string& arch,
     msgs_at_settle = net.total().msgs_sent;
   });
 
-  const SimTime horizon =
-      last + std::max(params.tail_ms, window + 1'000.0);
+  const SimTime horizon = last + std::max(kStormTailMs, window + 1'000.0);
   result.horizon_ms = horizon;
   monitor.start(horizon);
 

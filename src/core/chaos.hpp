@@ -57,23 +57,22 @@ struct ByzantineParams {
   std::vector<Misbehavior> kinds;
 };
 
+// The churn processes, keepalive, refresh and monitor cadences of the
+// run are fixed (core/chaos.cpp); these are what callers vary.
 struct ChaosParams {
   std::uint64_t seed = 1;
   SimTime horizon_ms = 10'000.0;
 
   PolicyMode policy_mode = PolicyMode::kOpen;
   ByzantineParams byzantine;
-  // Auditor knobs (onset_ms is overridden with byzantine.onset_ms).
-  AuditConfig audit;
+  // Honest (src, dst) pairs the policy-compliance auditor samples (0 =
+  // every pair); its sweeps begin at byzantine.onset_ms.
+  std::size_t audit_sample_pairs = 48;
 
   // Churn is injected in [0, horizon * churn_fraction]; the rest of the
   // run is a quiet tail in which every violation counts as persistent
   // once the reconvergence window has elapsed.
   double churn_fraction = 0.4;
-  SimTime link_mean_uptime_ms = 1'500.0;
-  SimTime link_mean_downtime_ms = 250.0;
-  SimTime node_mean_uptime_ms = 4'000.0;
-  SimTime node_mean_downtime_ms = 300.0;
 
   FaultConfig faults{
       .loss_rate = 0.0,  // corruption + checksum already behaves as loss
@@ -87,48 +86,12 @@ struct ChaosParams {
       // the wire fuzz tests.
       .corrupt_deliver_fraction = 0.0,
   };
-
-  KeepaliveConfig keepalive{
-      .interval_ms = 30.0,
-      // 4 misses: with ~2% frame corruption a 3-miss hold timer false-
-      // positives a healthy neighbor once in a few hundred seconds.
-      .miss_threshold = 4,
-      .backoff_factor = 2.0,
-      .max_probe_interval_ms = 0.0,  // 8 * interval
-  };
-
-  // Periodic full-state refresh per node; bounds the staleness left by a
-  // lost/corrupted triggered update (periodic_refresh_ms of each design
-  // point's config).
-  double periodic_refresh_ms = 300.0;
-
-  // Instantaneous link-state oracle. Off by default: failure detection is
-  // the keepalive machinery's job.
-  bool link_notifications = false;
-
-  InvariantConfig invariants{
-      .cadence_ms = 100.0,
-      .reconverge_window_ms = 1'500.0,
-      .sample_pairs = 48,
-      .sample_seed = 0x5eedf00dULL,
-  };
-
-  // Per-failure-class reconvergence grace windows. A node cold-restart
-  // legitimately needs more slack than a single link transition; a
-  // negative value falls back to invariants.reconverge_window_ms, so the
-  // defaults leave every existing run byte-identical.
-  struct ReconvergeWindows {
-    SimTime link_ms = -1.0;
-    SimTime node_ms = -1.0;
-  };
-  ReconvergeWindows reconverge;
 };
 
 struct ChaosResult {
   std::string arch;
   InvariantStats invariants;
   Counters totals;
-  std::uint64_t losses = 0;          // in-flight drops (loss + checksum)
   std::size_t link_failures = 0;     // link-down events injected
   std::size_t node_crashes = 0;      // crash events injected
   std::uint64_t counter_fingerprint = 0;  // FNV-1a over per-AD counters
@@ -170,70 +133,30 @@ enum class StormFamily : std::uint8_t {
 // All four families, in enum order (bench/soak iteration order).
 [[nodiscard]] const std::vector<StormFamily>& storm_families();
 
+// Restart storm: this many seeded-shuffled transit ADs crash (soft state
+// lost) in each of this many waves, staggered; each restarts cold
+// restart_down_ms later. Failure detection uses the crash oracle. The
+// other storms' shapes and the monitor cadence are fixed in
+// core/chaos.cpp.
+inline constexpr std::size_t kRestartStormNodes = 8;
+inline constexpr std::uint32_t kRestartStormWaves = 2;
+
 struct ScaleChaosParams {
   std::uint64_t seed = 0x5ca1eULL;  // profile seed (the scale matrix's)
   std::uint32_t target_ads = 10'000;
-  std::uint32_t beacon_count = 64;
-
   StormFamily storm = StormFamily::kFlapStorm;
-  SimTime onset_delay_ms = 200.0;  // quiet gap between convergence and storm
-  SimTime tail_ms = 4'000.0;       // quiet tail after the last transition
 
-  // Flap storm: `flap_links` transit-transit links each run a seeded flap
-  // process (random phase) with this period/duty for `flap_cycles`.
-  // Suppression needs ~3 transitions per link to engage, so the cycle
-  // count sets how much of the storm the damped tail amortizes.
-  std::size_t flap_links = 8;
-  SimTime flap_period_ms = 200.0;
-  double flap_duty = 0.5;
+  // Flap storm: cycles of each flapping link's process. Suppression needs
+  // ~3 transitions per link to engage, so the cycle count sets how much
+  // of the storm the damped tail amortizes.
   std::uint32_t flap_cycles = 10;
-
-  // Withdrawal storm: `withdraw_beacons` beacon access links drop for
-  // `withdraw_down_ms`, in `withdraw_waves` waves `withdraw_gap_ms` apart.
-  std::size_t withdraw_beacons = 8;
-  SimTime withdraw_down_ms = 400.0;
-  std::uint32_t withdraw_waves = 2;
-  SimTime withdraw_gap_ms = 400.0;
-
-  // Partition / core outage: time the uplink(s) stay down before healing.
-  SimTime outage_ms = 600.0;
-
-  // Restart storm: `restart_nodes` seeded-shuffled transit ADs crash
-  // (soft state lost) and restart cold `restart_down_ms` later, staggered
-  // `restart_stagger_ms` apart, in `restart_waves` waves separated by
-  // `restart_gap_ms`. Failure detection uses the crash oracle.
-  std::size_t restart_nodes = 8;
-  std::uint32_t restart_waves = 2;
-  SimTime restart_down_ms = 300.0;
-  SimTime restart_gap_ms = 500.0;
-  SimTime restart_stagger_ms = 40.0;
+  SimTime restart_down_ms = 300.0;  // restart storm: outage per crash
 
   // Recovery knobs, all off by default (existing behavior unchanged).
   DampingConfig damping;        // DV family (ECMA, IDRP)
   SimTime ls_holddown_ms = 0.0; // LS family (LS-HbH, ORWG)
   GrConfig gr;                  // graceful restart (restart storm)
   OverloadConfig overload;      // bounded class-prioritized ingress queues
-
-  // Per-storm-class reconvergence grace windows (measured from the LAST
-  // transition of the storm; every transition extends the deadline).
-  struct StormWindows {
-    SimTime flap_ms = 2'000.0;
-    SimTime withdraw_ms = 2'000.0;
-    SimTime partition_ms = 3'000.0;
-    SimTime core_outage_ms = 3'000.0;
-    // Restart storm; when GR is on, the grace window is added on top
-    // (a flush at grace expiry legitimately re-opens convergence).
-    SimTime restart_ms = 3'000.0;
-  };
-  StormWindows windows;
-
-  InvariantConfig invariants{
-      .cadence_ms = 250.0,
-      .reconverge_window_ms = 1'500.0,
-      .sample_pairs = 64,
-      .sample_seed = 0x5eedf00dULL,
-      // dst_pool / src_pool are filled by the driver from the profile.
-  };
 };
 
 struct ScaleChaosResult {
@@ -241,6 +164,7 @@ struct ScaleChaosResult {
   StormFamily storm = StormFamily::kFlapStorm;
   std::uint32_t ads = 0;
   std::uint32_t transit_ads = 0;
+  std::uint32_t beacons = 0;  // originating DV destinations
 
   InvariantStats invariants;
   // Deduplicated persistent violations with their probe walks -- what a

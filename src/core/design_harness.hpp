@@ -65,8 +65,7 @@ struct EngineBackend {
 };
 
 // Partition `topo` and enable sharding on a freshly constructed engine
-// per `backend` (no-op when shards <= 1). Must run before the Network is
-// built: per-shard delivery aggregates are sized at Network construction.
+// per `backend` (no-op when shards <= 1).
 void apply_engine_backend(Engine& engine, const Topology& topo,
                           const EngineBackend& backend);
 

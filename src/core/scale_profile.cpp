@@ -91,9 +91,7 @@ Network::NodeFactory make_scale_factory(const std::string& arch,
 
 ShardPlan make_scale_shard_plan(const ScaleProfile& profile,
                                 std::uint32_t shards) {
-  ShardPlanOptions opts;
-  opts.hierarchy_groups = true;
-  return make_shard_plan(profile.topo, shards, opts);
+  return make_shard_plan(profile.topo, shards);
 }
 
 }  // namespace idr

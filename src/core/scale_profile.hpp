@@ -65,7 +65,7 @@ struct ScaleProfile {
 // subtrees stay whole (a region's metros and campuses ride with their
 // regional AD), backbone ADs are individually placeable. This is the
 // partition the parallel matrix and the parallel soaks run; pass it to
-// Engine::enable_sharding before constructing the Network.
+// Engine::enable_sharding before anything is scheduled.
 [[nodiscard]] ShardPlan make_scale_shard_plan(const ScaleProfile& profile,
                                               std::uint32_t shards);
 

@@ -19,6 +19,8 @@ struct Counters {
   std::uint64_t msgs_duplicated = 0;
   std::uint64_t msgs_reordered = 0;
   std::uint64_t malformed_dropped = 0;
+  // Frames the fault model lost in flight (also in msgs_dropped).
+  std::uint64_t msgs_lost = 0;
   // Control-plane advertisements a protocol's Byzantine defense rejected
   // (or clamped away): forged origins, leaked routes, infeasible shapes,
   // bad auth tags. Zero unless a defense toggle is armed.
@@ -33,6 +35,7 @@ struct Counters {
     msgs_duplicated += other.msgs_duplicated;
     msgs_reordered += other.msgs_reordered;
     malformed_dropped += other.malformed_dropped;
+    msgs_lost += other.msgs_lost;
     defense_rejections += other.defense_rejections;
     return *this;
   }

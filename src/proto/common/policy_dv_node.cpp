@@ -45,7 +45,7 @@ void PolicyDvNode::maybe_schedule_release_check() {
 }
 
 void PolicyDvNode::schedule_stale_flush(AdId neighbor) {
-  schedule_guarded(dv_config().gr.grace_ms + 0.1, [this, neighbor] {
+  schedule_guarded(net().gr().grace_ms + 0.1, [this, neighbor] {
     if (net().in_grace(neighbor)) {
       // The neighbor crashed again and its grace window was extended;
       // retry after the extension.

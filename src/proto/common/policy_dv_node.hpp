@@ -32,11 +32,6 @@ struct PolicyDvConfig {
   // (local forwarding keeps it) until the penalty decays to the reuse
   // threshold, at which point the release timer re-advertises it.
   DampingConfig damping;
-  // Graceful restart (off by default): routes through a neighbor that
-  // crashes into a grace window are retained instead of withdrawn, and
-  // whatever the neighbor's resync has not refreshed by grace expiry is
-  // flushed.
-  GrConfig gr;
 };
 
 class PolicyDvNode : public ProtoNode {

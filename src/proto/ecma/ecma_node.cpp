@@ -306,13 +306,13 @@ void EcmaNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
 
 void EcmaNode::on_link_change(AdId neighbor, bool up) {
   if (up) {
-    if (damper_.enabled() || config_.gr.enabled) {
+    if (damper_.enabled() || net().gr().enabled) {
       // A link-up does not change our RIB, so a network-wide broadcast
       // would be byte-identical to what every other neighbor already
       // holds; only the recovered neighbor needs the table refresh.
       // Under GR this targeted table is the incremental resync a
       // restarted neighbor rebuilds its RIB from.
-      if (config_.gr.enabled) ++gr_resyncs_;
+      if (net().gr().enabled) ++gr_resyncs_;
       net().send(self(), neighbor, encode_for(neighbor));
     } else {
       advertise();
@@ -323,7 +323,7 @@ void EcmaNode::on_link_change(AdId neighbor, bool up) {
     return slot.valid(config_.infinity) && slot.via == neighbor &&
            slot.via != self();
   };
-  if (config_.gr.enabled && net().in_grace(neighbor)) {
+  if (net().in_grace(neighbor)) {
     // Graceful restart: the neighbor crashed into a grace window. Keep
     // its routes in the FIB (its frozen data plane still forwards) but
     // flag them stale so they drop out of our updates; poison whatever

@@ -365,11 +365,11 @@ void IdrpNode::on_link_change(AdId neighbor, bool up) {
     // table even if it is byte-identical to the last one sent. With GR
     // this is the resync toward the restarted neighbor.
     last_sent_hash_.erase(neighbor.v);
-    if (config_.gr.enabled) ++gr_resyncs_;
+    if (net().gr().enabled) ++gr_resyncs_;
     advertise();
     return;
   }
-  if (config_.gr.enabled && net().in_grace(neighbor)) {
+  if (net().in_grace(neighbor)) {
     // Graceful restart: retain the neighbor's Adj-RIB-in and skip the
     // reselect -- no churn propagates downstream. The neighbor's resync
     // update (a full table, implicit withdrawal semantics) supersedes

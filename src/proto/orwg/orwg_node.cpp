@@ -87,7 +87,7 @@ void OrwgNode::flush_pending_floods() {
 // --- Policy Route establishment ---------------------------------------------
 
 void OrwgNode::note_gr_cache_hit(bool from_cache) {
-  if (from_cache && config_.gr.enabled && net().in_grace_count() > 0) {
+  if (from_cache && net().in_grace_count() > 0) {
     ++gr_memoized_;
   }
 }

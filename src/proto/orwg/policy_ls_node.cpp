@@ -196,7 +196,7 @@ void PolicyLsNode::accept_lsa(PolicyLsa lsa, AdId from) {
 
 void PolicyLsNode::on_link_change(AdId neighbor, bool up) {
   const PolicyLsConfig& config = ls_config();
-  if (!up && config.gr.enabled && net().in_grace(neighbor)) {
+  if (!up && net().in_grace(neighbor)) {
     // Graceful restart: the in-grace neighbor still counts as alive
     // (Node::neighbor_alive), so a re-origination now would change
     // nothing -- skip it entirely (no seq bump, no flood) and re-examine
@@ -206,11 +206,11 @@ void PolicyLsNode::on_link_change(AdId neighbor, bool up) {
     // re-crash during grace lands here again and arms a later timer, so
     // the early one fires harmlessly inside the extended window.
     ++gr_retained_;
-    schedule_guarded(config.gr.grace_ms + 0.1,
+    schedule_guarded(net().gr().grace_ms + 0.1,
                      [this] { originate_if_changed(); });
     return;
   }
-  if (up && config.gr.enabled) ++gr_resyncs_;
+  if (up && net().gr().enabled) ++gr_resyncs_;
   if (config.link_holddown_ms > 0.0) {
     if (!holddown_scheduled_) {
       holddown_scheduled_ = true;

@@ -51,12 +51,6 @@ struct PolicyLsConfig {
   // fresh sequence number re-floods network-wide, repairing any database
   // hole a lost or corrupted flood left behind.
   double periodic_refresh_ms = 0.0;
-  // Graceful restart (off by default): a neighbor that crashes into a
-  // grace window stays in live_neighbors() (Node::neighbor_alive treats
-  // in-grace as up), so the adjacency is *retained* -- no re-origination,
-  // no network-wide re-flood -- until either the restarted neighbor's
-  // link-up resync or the guarded post-grace re-examination drops it.
-  GrConfig gr;
 };
 
 class PolicyLsNode : public ProtoNode {

@@ -177,20 +177,6 @@ void Engine::enable_sharding(const ShardPlan& plan, unsigned threads) {
   runtime_ = std::make_unique<detail::ShardRuntime>(*this, plan, threads);
 }
 
-std::uint32_t Engine::shard_count() const noexcept {
-  return runtime_ ? runtime_->shard_count() : 1;
-}
-
-std::uint32_t Engine::current_shard() const noexcept {
-  const detail::ExecContext& ctx = detail::exec_context();
-  if (ctx.in_window && ctx.engine == this) return ctx.shard;
-  return 0;
-}
-
-std::uint32_t Engine::shard_of_ad(std::uint32_t ad) const noexcept {
-  return runtime_ ? runtime_->shard_of_ad(ad) : 0;
-}
-
 const ParallelStats* Engine::parallel_stats() const noexcept {
   return runtime_ ? &runtime_->stats() : nullptr;
 }

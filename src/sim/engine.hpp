@@ -190,13 +190,6 @@ class Engine {
   // windows (0 = run windows inline on the driving thread -- identical
   // results, no thread overhead). See shard.hpp for the plan.
   void enable_sharding(const ShardPlan& plan, unsigned threads = 0);
-  [[nodiscard]] bool sharded() const noexcept { return runtime_ != nullptr; }
-  // Number of shards (1 when not sharded).
-  [[nodiscard]] std::uint32_t shard_count() const noexcept;
-  // Shard executing on the calling thread right now; 0 outside windows
-  // (and always 0 on a non-sharded engine).
-  [[nodiscard]] std::uint32_t current_shard() const noexcept;
-  [[nodiscard]] std::uint32_t shard_of_ad(std::uint32_t ad) const noexcept;
   // Window/critical-path accounting; null on a non-sharded engine.
   [[nodiscard]] const ParallelStats* parallel_stats() const noexcept;
 

@@ -83,12 +83,12 @@ struct InvariantConfig {
   // of the whole AD space (paper scale: only beacon ADs are originated
   // destinations, so probing arbitrary dsts would report vacuous
   // black holes).
-  std::vector<AdId> dst_pool;
+  std::vector<AdId> dst_pool{};
   // When non-empty (and dst_pool is too), sampled sources are drawn from
   // this pool instead of uniformly over all ADs -- the scale runs pass a
   // stratified slice of the stub population so every region of the
   // hierarchy is probed at every sweep.
-  std::vector<AdId> src_pool;
+  std::vector<AdId> src_pool{};
   // Also keep InvariantFinding records for transient violations (capped
   // at max_transient_findings). Persistent findings are always recorded
   // (they are deduped, so bounded by pairs x kinds).

@@ -10,6 +10,11 @@ namespace idr {
 // --- Node: delivery + keepalive liveness -----------------------------
 
 namespace {
+// Probing a dead neighbor: the spacing doubles per probe, up to this
+// many keepalive intervals.
+constexpr double kProbeBackoff = 2.0;
+constexpr double kMaxProbeIntervals = 8.0;
+
 // One process-wide keepalive frame, shared by every node's every probe.
 const Payload& keepalive_payload() {
   static const Payload p = std::make_shared<const std::vector<std::uint8_t>>(
@@ -33,10 +38,6 @@ void Node::deliver(AdId from, std::uint32_t slot,
 
 void Node::enable_keepalive(const KeepaliveConfig& config) {
   keepalive_ = config;
-  if (keepalive_.max_probe_interval_ms <= 0.0) {
-    keepalive_.max_probe_interval_ms = 8.0 * keepalive_.interval_ms;
-  }
-  if (keepalive_.backoff_factor < 1.0) keepalive_.backoff_factor = 1.0;
   keepalive_enabled_ = keepalive_.interval_ms > 0.0;
   if (!keepalive_enabled_) return;
 
@@ -90,9 +91,9 @@ void Node::keepalive_tick() {
     } else if (now >= nl.next_probe_at) {
       net_->send(self_, adj.neighbor, keepalive_payload(),
                  MsgClass::kKeepalive);
-      nl.probe_interval_ms = std::min(
-          nl.probe_interval_ms * keepalive_.backoff_factor,
-          static_cast<double>(keepalive_.max_probe_interval_ms));
+      nl.probe_interval_ms =
+          std::min(nl.probe_interval_ms * kProbeBackoff,
+                   kMaxProbeIntervals * keepalive_.interval_ms);
       nl.next_probe_at = now + nl.probe_interval_ms;
     }
   }
@@ -171,14 +172,11 @@ Network::Network(Engine& engine, Topology& topo)
   nodes_.resize(topo.ad_count());
   generations_.resize(topo.ad_count(), 0);
   counters_.resize(topo.ad_count());
+  last_delivery_.resize(topo.ad_count(), 0.0);
   byz_by_ad_.resize(topo.ad_count());
   quarantined_.resize(topo.ad_count(), 0);
   frozen_.resize(topo.ad_count());
   grace_deadline_.resize(topo.ad_count(), 0.0);
-  // Per-shard delivery bookkeeping: size it now, which is why sharding
-  // must be enabled on the engine before the Network is built.
-  last_delivery_.assign(engine.shard_count(), 0.0);
-  losses_.assign(engine.shard_count(), 0);
 }
 
 // --- Byzantine / misconfigured ADs -----------------------------------
@@ -298,7 +296,7 @@ void Network::crash(AdId ad) {
     // A crash loses the ingress queue along with everything else.
     IngressQueue& iq = ingress_[ad.v];
     for (auto& q : iq.cls) {
-      overload_stats_.cleared_on_crash += q.size();
+      iq.stats.cleared_on_crash += q.size();
       q.clear();
     }
     iq.depth = 0;
@@ -394,16 +392,19 @@ SimTime Network::last_delivery_time() const noexcept {
   return t;
 }
 
-std::uint64_t Network::losses() const noexcept {
-  std::uint64_t n = 0;
-  for (const std::uint64_t l : losses_) n += l;
-  return n;
-}
-
-void Network::note_delivery() {
-  const std::uint32_t shard = engine_.current_shard();
-  IDR_CHECK(shard < last_delivery_.size());
-  last_delivery_[shard] = engine_.now();
+OverloadStats Network::overload_stats() const {
+  OverloadStats total;
+  for (const IngressQueue& iq : ingress_) {
+    const OverloadStats& s = iq.stats;
+    total.enqueued += s.enqueued;
+    total.served += s.served;
+    for (std::size_t c = 0; c < kMsgClassCount; ++c) {
+      total.dropped[c] += s.dropped[c];
+    }
+    total.peak_depth = std::max(total.peak_depth, s.peak_depth);
+    total.cleared_on_crash += s.cleared_on_crash;
+  }
+  return total;
 }
 
 void Network::reset_counters() {
@@ -433,7 +434,7 @@ bool Network::send(AdId from, AdId to, Payload bytes, MsgClass cls) {
   // sender's own seeded stream: the fault schedule is a pure function of
   // (seed, sender) -- independent of event interleaving, backend, and
   // shard count -- and the delivery event below only acts on the flags,
-  // so it touches nothing but receiver-shard state.
+  // so it touches nothing but the receiver's state.
   Prng* prng = fault_prng(from);
   int copies = 1;
   if (faults_.duplicate_rate > 0.0 &&
@@ -485,9 +486,9 @@ void Network::deliver_frame(AdId from, AdId to, LinkId link, Payload bytes,
   engine_.after_node(delay_ms, from.v + 1, to.v,
                      [this, from, to, link, fx, cls,
                       payload = std::move(bytes)]() {
-    // Receiver-side accounting only: this event runs on `to`'s shard.
-    // The fault flags count at the receiving interface whether or not
-    // the frame survives to the protocol.
+    // Receiver-side accounting only: this is `to`'s event. The fault
+    // flags count at the receiving interface whether or not the frame
+    // survives to the protocol.
     Counters& c = counters_[to.v];
     if (fx.duplicate) c.msgs_duplicated += 1;
     if (fx.reordered) c.msgs_reordered += 1;
@@ -498,9 +499,7 @@ void Network::deliver_frame(AdId from, AdId to, LinkId link, Payload bytes,
       return;
     }
     if (fx.lost) {
-      const std::uint32_t shard = engine_.current_shard();
-      IDR_CHECK(shard < losses_.size());
-      ++losses_[shard];
+      c.msgs_lost += 1;
       c.msgs_dropped += 1;
       return;
     }
@@ -528,15 +527,12 @@ void Network::deliver_frame(AdId from, AdId to, LinkId link, Payload bytes,
       return;
     }
     c.msgs_delivered += 1;
-    note_delivery();
+    last_delivery_[to.v] = engine_.now();
     n->deliver(from, topo_.adjacency_slot(link, to), *payload);
   });
 }
 
 void Network::set_overload(const OverloadConfig& config) {
-  IDR_CHECK_MSG(!(config.enabled() && engine_.sharded()),
-                "overload protection is sequential-only: the shared "
-                "OverloadStats aggregate is written from delivery events");
   overload_ = config;
   if (overload_.enabled() && ingress_.size() < nodes_.size()) {
     ingress_.resize(nodes_.size());
@@ -560,22 +556,20 @@ void Network::enqueue_ingress(AdId from, AdId to, LinkId link, Payload payload,
       }
     }
     if (victim == kMsgClassCount) {
-      ++overload_stats_.dropped[c];
+      ++iq.stats.dropped[c];
       counters_[to.v].msgs_dropped += 1;
       return;
     }
     counters_[to.v].msgs_dropped += 1;
     iq.cls[victim].pop_back();
     --iq.depth;
-    ++overload_stats_.dropped[victim];
+    ++iq.stats.dropped[victim];
   }
   iq.cls[c].push_back(QueuedFrame{from, link, std::move(payload),
                                   engine_.now()});
   ++iq.depth;
-  ++overload_stats_.enqueued;
-  if (iq.depth > overload_stats_.peak_depth) {
-    overload_stats_.peak_depth = iq.depth;
-  }
+  ++iq.stats.enqueued;
+  iq.stats.peak_depth = std::max(iq.stats.peak_depth, iq.depth);
   if (!iq.service_scheduled) {
     iq.service_scheduled = true;
     engine_.after_node(OverloadConfig::kServiceIntervalMs, to.v + 1, to.v,
@@ -593,12 +587,12 @@ void Network::service_ingress(AdId to) {
       iq.cls[c].pop_front();
       --iq.depth;
       --budget;
-      ++overload_stats_.served;
+      ++iq.stats.served;
       Node* n = nodes_[to.v].get();
       if (!n) {
         // Crash and service collided at one timestamp; the queue is
         // normally cleared by crash() before this can run.
-        ++overload_stats_.cleared_on_crash;
+        ++iq.stats.cleared_on_crash;
         continue;
       }
       if (quarantined_[f.from.v]) {
@@ -607,7 +601,7 @@ void Network::service_ingress(AdId to) {
         continue;
       }
       counters_[to.v].msgs_delivered += 1;
-      note_delivery();
+      last_delivery_[to.v] = engine_.now();
       n->deliver(f.from, topo_.adjacency_slot(f.link, to), *f.payload,
                  f.arrival_ms);
     }
@@ -621,24 +615,13 @@ void Network::service_ingress(AdId to) {
 
 void Network::set_faults(const FaultConfig& faults, std::uint64_t seed) {
   faults_ = faults;
-  fault_seed_ = seed;
-  reseed_fault_prngs();
-}
-
-void Network::set_loss(double rate, std::uint64_t seed) {
-  faults_.loss_rate = rate;
-  fault_seed_ = seed;
-  reseed_fault_prngs();
-}
-
-void Network::reseed_fault_prngs() {
   fault_prng_.clear();
   if (!faults_.any()) return;
   fault_prng_.reserve(nodes_.size());
   for (std::size_t ad = 0; ad < nodes_.size(); ++ad) {
     // One independent stream per sender AD, derived from the run seed.
     std::uint64_t sm =
-        fault_seed_ + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(ad) + 1);
+        seed + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(ad) + 1);
     fault_prng_.emplace_back(splitmix64(sm));
   }
 }

@@ -17,17 +17,18 @@
 //     instead of the instantaneous on_link_change oracle (which can be
 //     disabled entirely with set_link_notifications(false)).
 //
-// Sharded execution (Engine::enable_sharding, see shard.hpp) imposes an
-// ownership discipline this class follows throughout: an event scheduled
-// for AD `x` runs on `x`'s shard and may only touch `x`-indexed state.
-// Frames are keyed by the sender's stream but execute on the receiver's
-// shard, so all delivery-time accounting (delivered/dropped/duplicated/
-// reordered/corrupted) is receiver-attributed, per-frame fault decisions
-// are drawn at send time from the sender's own PRNG stream, and the few
-// genuinely global aggregates (losses, last delivery time) are kept
-// per-shard and folded on read. Global mutations -- crash/restart, link
-// state, quarantine -- are driver actions and must run as control-stream
-// events (Engine::at), which a sharded engine serializes between windows.
+// One ownership rule holds throughout: an event for AD `x` writes only
+// `x`-indexed state, and every network-wide figure (message totals,
+// overload stats, the last delivery time) is folded from per-AD state on
+// read. A frame is keyed by its sender's stream but is the receiver's
+// event, so delivery-time accounting is receiver-attributed, and every
+// per-frame fault decision is drawn at send time from the sender's own
+// PRNG stream. Mutations that span ADs -- crash/restart, grace
+// deadlines, link state, quarantine -- are driver actions run as
+// control-stream events (Engine::at). A sharded engine (shard.hpp) runs
+// an AD's events on that AD's shard and control events between windows,
+// so under this rule every feature here runs on every backend, with the
+// sequential engine's results.
 #pragma once
 
 #include <cstddef>
@@ -140,6 +141,7 @@ struct OverloadConfig {
   [[nodiscard]] bool enabled() const noexcept { return queue_limit > 0; }
 };
 
+// Kept per receiving AD; Network::overload_stats folds them on read.
 struct OverloadStats {
   std::uint64_t enqueued = 0;
   std::uint64_t served = 0;
@@ -173,13 +175,12 @@ struct GrConfig {
 // every interval; any frame heard from a neighbor refreshes its hold
 // timer. Silence for miss_threshold intervals declares the neighbor dead
 // (delivered to the protocol as on_link_change(neighbor, false)); dead
-// neighbors are re-probed with exponential backoff, and the first frame
-// heard from one revives it (on_link_change(neighbor, true)).
+// neighbors are re-probed with exponential backoff (the spacing doubles
+// up to 8 intervals), and the first frame heard from one revives it
+// (on_link_change(neighbor, true)).
 struct KeepaliveConfig {
   SimTime interval_ms = 0.0;  // 0 disables keepalive entirely
   std::uint32_t miss_threshold = 3;
-  double backoff_factor = 2.0;
-  SimTime max_probe_interval_ms = 0.0;  // 0 => 8 * interval_ms
 };
 
 // A protocol entity running inside one AD (the paper's Route Server /
@@ -290,16 +291,10 @@ class Network {
   // --- overload protection -------------------------------------------
   // Bounded class-prioritized ingress queues on every AD (see MsgClass).
   // Default-off; enabling changes delivery timing, so differential
-  // transcripts are only stable with it off. Sequential backend only
-  // (checked): the global OverloadStats aggregate is written from
-  // delivery events, which a sharded engine runs concurrently.
+  // transcripts are only stable with it off.
   void set_overload(const OverloadConfig& config);
-  [[nodiscard]] const OverloadConfig& overload() const noexcept {
-    return overload_;
-  }
-  [[nodiscard]] const OverloadStats& overload_stats() const noexcept {
-    return overload_stats_;
-  }
+  // Every AD's queue stats folded: counts summed, peak_depth the max.
+  [[nodiscard]] OverloadStats overload_stats() const;
 
   // Change a link's state and notify both endpoint nodes immediately
   // (unless notifications are disabled).
@@ -310,9 +305,6 @@ class Network {
   // keepalive hold timers (or from data-plane errors).
   void set_link_notifications(bool enabled) noexcept {
     link_notifications_ = enabled;
-  }
-  [[nodiscard]] bool link_notifications() const noexcept {
-    return link_notifications_;
   }
 
   // --- node crash / restart ------------------------------------------
@@ -342,6 +334,7 @@ class Network {
   }
 
   // --- graceful restart ----------------------------------------------
+  // The one GR switch: the protocols read it through gr().
   void set_graceful_restart(const GrConfig& config) { gr_ = config; }
   [[nodiscard]] const GrConfig& gr() const noexcept { return gr_; }
   // True while the AD's frozen pre-crash state is serving its grace
@@ -378,10 +371,11 @@ class Network {
 
   [[nodiscard]] const Counters& counters(AdId ad) const;
   // Network-wide totals, folded from the per-AD counters on read (so no
-  // event ever writes a global aggregate; see the sharding note on top).
+  // event ever writes a global aggregate; see the ownership rule on top).
   [[nodiscard]] Counters total() const;
-  // Simulated time of the most recent protocol message delivery; the
-  // convergence benchmarks read this after draining the event queue.
+  // Simulated time of the most recent protocol message delivery (folded
+  // from the per-AD times); the convergence benchmarks read this after
+  // draining the event queue.
   [[nodiscard]] SimTime last_delivery_time() const noexcept;
   void reset_counters();
 
@@ -395,20 +389,15 @@ class Network {
   }
 
   // Full adversarial fault model (loss + corruption + duplication +
-  // reordering), deterministic in the seed.
+  // reordering), deterministic in the seed. Loss alone models the
+  // unreliable datagram service the paper assumes ("sequencing and
+  // reliability are left to the transport layer"); lost frames count in
+  // Counters::msgs_lost.
   // Every per-frame decision is drawn at send time from the sender's own
   // PRNG stream (seeded from `seed` x sender AD), so the fault schedule
   // is a pure function of the seed -- independent of event interleaving,
   // backend, and shard count.
   void set_faults(const FaultConfig& faults, std::uint64_t seed);
-  [[nodiscard]] const FaultConfig& faults() const noexcept { return faults_; }
-
-  // Random in-flight loss only: each delivery independently dropped with
-  // this probability (deterministic in the seed). Models the unreliable
-  // datagram service the paper assumes ("sequencing and reliability are
-  // left to the transport layer").
-  void set_loss(double rate, std::uint64_t seed);
-  [[nodiscard]] std::uint64_t losses() const noexcept;
 
   // Generation counter for an AD's node slot; bumped on crash so stale
   // timers scheduled by a destroyed node can detect they are orphaned.
@@ -462,8 +451,8 @@ class Network {
  private:
   friend class Node;
 
-  // Per-frame fault decisions, all made at send time on the sender's
-  // shard; the delivery event just acts on them receiver-side.
+  // Per-frame fault decisions, all made at send time as the sender's
+  // event; the delivery event just acts on them receiver-side.
   struct FrameFaults {
     bool duplicate = false;  // this frame is the injected extra copy
     bool reordered = false;
@@ -478,13 +467,10 @@ class Network {
                        MsgClass cls);
   void service_ingress(AdId to);
   void end_grace(AdId ad);
-  void reseed_fault_prngs();
   // Sender-stream PRNG; null when no fault/loss rate is configured.
   [[nodiscard]] Prng* fault_prng(AdId from) noexcept {
     return fault_prng_.empty() ? nullptr : &fault_prng_[from.v];
   }
-  // Delivery bookkeeping owned by the executing shard.
-  void note_delivery();
 
   struct QueuedFrame {
     AdId from;
@@ -496,6 +482,7 @@ class Network {
     std::deque<QueuedFrame> cls[kMsgClassCount];
     std::size_t depth = 0;
     bool service_scheduled = false;
+    OverloadStats stats;
   };
 
   Engine& engine_;
@@ -503,18 +490,15 @@ class Network {
   std::vector<std::unique_ptr<Node>> nodes_;  // indexed by AdId
   std::vector<std::uint64_t> generations_;    // indexed by AdId
   std::vector<Counters> counters_;            // indexed by AdId
-  std::vector<SimTime> last_delivery_;        // indexed by shard
+  std::vector<SimTime> last_delivery_;        // indexed by receiving AdId
   double per_byte_delay_ms_ = 0.0;
   FaultConfig faults_;
-  std::uint64_t fault_seed_ = 0;
   std::vector<Prng> fault_prng_;           // indexed by sender AdId
-  std::vector<std::uint64_t> losses_;      // indexed by shard
   std::uint64_t crashes_ = 0;
   std::size_t down_count_ = 0;
   bool link_notifications_ = true;
   bool crash_notifications_ = false;
   OverloadConfig overload_;
-  OverloadStats overload_stats_;
   std::vector<IngressQueue> ingress_;  // indexed by AdId (receiver)
   GrConfig gr_;
   // GR zombies: the frozen pre-crash node, non-null iff in grace.

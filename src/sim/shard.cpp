@@ -1,7 +1,6 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <utility>
 
@@ -74,7 +73,7 @@ ShardPlan make_shard_plan(const Topology& topo, std::uint32_t shards,
       uf.merge(l.a.v, l.b.v);
       continue;
     }
-    if (!opts.hierarchy_groups || l.cls != LinkClass::kHierarchical) continue;
+    if (l.cls != LinkClass::kHierarchical) continue;
     const AdClass ca = topo.ad(l.a).cls;
     const AdClass cb = topo.ad(l.b).cls;
     const AdClass deeper = ca > cb ? ca : cb;
@@ -313,8 +312,9 @@ std::size_t ShardRuntime::drive(bool bounded, SimTime horizon,
     stats_.parallel_events += wsum;
     stats_.critical_path_events += wmax;
     n += static_cast<std::size_t>(wsum);
-    engine_.now_ =
-        std::max(engine_.now_, std::isinf(bound) ? last_t : bound);
+    // The clock follows the last event run, as on the sequential engine
+    // (run_until then advances it to its horizon), never the bound.
+    engine_.now_ = last_t;
   }
   return n;
 }

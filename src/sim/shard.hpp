@@ -70,18 +70,16 @@ struct ShardPlanOptions {
   // value shrinks the window bound below it -- never enlarges it -- to
   // stress the window-boundary machinery in tests.
   double lookahead_override_ms = 0.0;
-  // Group each regional subtree (a regional AD plus the metro/campus ADs
-  // hanging under it via hierarchical links) into one indivisible unit, so
-  // shard boundaries fall on the slow long-haul links and the lookahead
-  // stays large. Backbone/transit ADs stay individually placeable.
-  bool hierarchy_groups = true;
 };
 
 // Partition `topo` into (at most) `shards` shards:
 //   * ADs joined by a zero-delay link are merged into one unit (a
 //     cross-shard link with no delay would force a zero lookahead and
 //     deadlock the window loop);
-//   * with hierarchy_groups, each regional subtree is one unit;
+//   * each regional subtree (a regional AD plus the metro/campus ADs
+//     hanging under it via hierarchical links) is one unit, so shard
+//     boundaries fall on the slow long-haul links and the lookahead stays
+//     large; backbone/transit ADs stay individually placeable;
 //   * units are placed largest-first onto the lightest shard (LPT), ties
 //     broken by lowest id -- fully deterministic.
 // Degenerate inputs are fine: shards == 1 yields no cross links (infinite
@@ -111,13 +109,6 @@ class ShardRuntime {
   [[nodiscard]] bool empty() const;
   [[nodiscard]] std::size_t pending() const;
   [[nodiscard]] std::uint64_t events_processed() const;
-  [[nodiscard]] std::uint32_t shard_count() const noexcept {
-    return plan_.shards;
-  }
-  [[nodiscard]] std::uint32_t shard_of_ad(std::uint32_t ad) const {
-    return plan_.shard_of[ad];
-  }
-  [[nodiscard]] const ShardPlan& plan() const noexcept { return plan_; }
   [[nodiscard]] const ParallelStats& stats() const noexcept { return stats_; }
 
  private:

@@ -108,7 +108,7 @@ ChaosParams byzantine_params(bool defended) {
   params.policy_mode = PolicyMode::kProviderCustomer;
   params.byzantine.count = 4;
   params.byzantine.defended = defended;
-  params.audit.sample_pairs = 0;  // audit every honest ordered pair
+  params.audit_sample_pairs = 0;  // audit every honest ordered pair
   return params;
 }
 

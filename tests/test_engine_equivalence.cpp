@@ -12,17 +12,28 @@
 // classification count, every violation record, every invariant finding,
 // the counter fingerprints and the event totals. Any drift at all means
 // a backend reordered two events and is not a drop-in replacement.
+//
+// The simtest cases never turn on graceful restart, overload queues,
+// damping or hold-down, so a third axis runs each of those features on
+// the 1e3-AD scale profile, sequential vs sharded: feature x backend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iomanip>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "core/design_harness.hpp"
+#include "core/scale_profile.hpp"
 #include "sim/engine.hpp"
+#include "sim/failure.hpp"
 #include "sim/invariants.hpp"
 #include "simtest/differential.hpp"
 #include "simtest/scenario_generator.hpp"
 #include "simtest/simcase.hpp"
+#include "util/prng.hpp"
 
 namespace idr {
 namespace {
@@ -172,6 +183,168 @@ TEST(EngineEquivalence, TranscriptIsSensitiveToTheObservables) {
   b = a;
   b.archs.back().invariants.persistent_loops = 1;
   EXPECT_NE(transcript(a), transcript(b));
+}
+
+// --- feature x backend, on the 1e3-AD scale profile ---------------------
+
+constexpr std::uint64_t kProfileSeed = 0x5ca1eULL;
+
+TEST(EngineEquivalence, ShardedClockAfterRunMatchesSequential) {
+  // A drained run leaves the clock at its last event on every backend,
+  // so a driver that schedules from now() after run() (a storm onset,
+  // a convergence time) sees the same instant sharded as sequential.
+  const ScaleProfile profile = make_scale_profile(1'000, kProfileSeed);
+  for (const std::string& arch : design_point_names()) {
+    SCOPED_TRACE(arch);
+    SimTime sequential = -1.0;
+    for (const std::uint32_t shards : {1u, 4u, 8u}) {
+      SCOPED_TRACE(shards);
+      Topology topo = profile.topo;
+      Engine engine;
+      apply_engine_backend(engine, topo, {.shards = shards});
+      Network net(engine, topo);
+      const Network::NodeFactory factory = make_design_factory(
+          arch, topo, profile.policies, &profile.order,
+          scale_design_config(profile));
+      for (const Ad& ad : topo.ads()) net.attach(ad.id, factory(ad.id));
+      net.start_all();
+      engine.run();
+      if (shards == 1) sequential = engine.now();
+      EXPECT_EQ(engine.now(), sequential);
+    }
+  }
+}
+
+// The storm features, each on the design family that has it.
+enum class Feature : std::uint8_t {
+  kRestartGrOverload,  // restart storm, graceful restart + ingress queues
+  kDampedFlap,         // DV flap storm with route-flap damping
+  kHeldDownFlap,       // LS flap storm with origination hold-down
+};
+
+struct StormRun {
+  // Every observable, serialized after the cold start and after the
+  // storm drains.
+  std::string transcript;
+  OverloadStats queue;
+  std::uint64_t gr_recoveries = 0;
+};
+
+// One storm over the 1e3-AD scale profile on `backend`, assembled from
+// the pieces run_scale_chaos uses (no invariant monitor: the
+// observables are the network's own).
+StormRun run_storm(const std::string& arch, Feature feature,
+                   const EngineBackend& backend) {
+  ScaleProfile profile = make_scale_profile(1'000, kProfileSeed);
+  Topology& topo = profile.topo;
+  Engine engine;
+  apply_engine_backend(engine, topo, backend);
+  Network net(engine, topo);
+  DesignConfig config = scale_design_config(profile);
+  if (feature == Feature::kDampedFlap) {
+    config.ecma.damping = {.enabled = true, .half_life_ms = 500.0};
+    config.idrp.damping = config.ecma.damping;
+  }
+  if (feature == Feature::kHeldDownFlap) {
+    config.lshh.link_holddown_ms = 150.0;
+    config.orwg.link_holddown_ms = 150.0;
+  }
+  const Network::NodeFactory factory = make_design_factory(
+      arch, topo, profile.policies, &profile.order, config);
+  net.set_node_factory(factory);
+  for (const Ad& ad : topo.ads()) net.attach(ad.id, factory(ad.id));
+  const bool restart = feature == Feature::kRestartGrOverload;
+  if (restart) {
+    net.set_crash_notifications(true);
+    net.set_graceful_restart({.enabled = true, .grace_ms = 2'000.0});
+  }
+  net.start_all();
+
+  std::ostringstream out;
+  out << std::setprecision(17);
+  const auto snapshot = [&](const char* phase) {
+    const Counters total = net.total();
+    const OverloadStats q = net.overload_stats();
+    out << phase << ": now=" << engine.now()
+        << " last_delivery=" << net.last_delivery_time()
+        << " events=" << engine.events_processed()
+        << " msgs=" << total.msgs_sent << "/" << total.msgs_delivered << "/"
+        << total.msgs_dropped
+        << " fingerprint=" << counter_fingerprint(net, topo)
+        << " queue=" << q.enqueued << "/" << q.served << "/" << q.peak_depth
+        << "/" << q.cleared_on_crash << " dropped=" << q.dropped[0] << ","
+        << q.dropped[1] << "," << q.dropped[2] << "," << q.dropped[3]
+        << " gr=" << net.gr_recoveries() << "/" << net.gr_flushes() << "\n";
+  };
+  engine.run();
+  snapshot("converged");
+
+  FailureInjector injector(net);
+  const SimTime onset = engine.now() + 200.0;
+  Prng prng(0x73746f726dULL);
+  if (restart) {
+    // Two waves of 8 staggered transit crashes, each down 300 ms:
+    // recovery lands inside the 2 s grace window.
+    net.set_overload({.queue_limit = 64});
+    std::vector<AdId> pool = profile.transits;
+    prng.shuffle(pool);
+    for (std::uint32_t wave = 0; wave < 2; ++wave) {
+      for (std::size_t i = 0; i < 8; ++i) {
+        injector.crash_node_at(pool[i], onset + wave * 800.0 + i * 40.0,
+                               300.0);
+      }
+    }
+  } else {
+    // 8 transit-transit links flapping at a 200 ms period, random phase.
+    std::vector<LinkId> core;
+    for (const Link& l : topo.links()) {
+      if (topo.can_transit(l.a) && topo.can_transit(l.b)) core.push_back(l.id);
+    }
+    prng.shuffle(core);
+    for (std::size_t i = 0; i < std::min<std::size_t>(8, core.size()); ++i) {
+      const SimTime phase = 200.0 * static_cast<double>(prng.below(1024)) /
+                            1024.0;
+      injector.flap_link(core[i], onset + phase, 200.0, 0.5, 10);
+    }
+  }
+  engine.run();
+  snapshot("storm");
+  return {out.str(), net.overload_stats(), net.gr_recoveries()};
+}
+
+TEST(EngineEquivalence, StormFeaturesAreByteIdenticalOnEveryBackend) {
+  struct Cell {
+    const char* arch;
+    Feature feature;
+  };
+  const Cell cells[] = {
+      {"ecma", Feature::kRestartGrOverload},
+      {"idrp", Feature::kRestartGrOverload},
+      {"ls-hbh", Feature::kRestartGrOverload},
+      {"orwg", Feature::kRestartGrOverload},
+      {"ecma", Feature::kDampedFlap},
+      {"idrp", Feature::kDampedFlap},
+      {"ls-hbh", Feature::kHeldDownFlap},
+      {"orwg", Feature::kHeldDownFlap},
+  };
+  for (const Cell& cell : cells) {
+    SCOPED_TRACE(std::string(cell.arch) + " feature " +
+                 std::to_string(static_cast<int>(cell.feature)));
+    const StormRun reference = run_storm(cell.arch, cell.feature, {});
+    // 4 shards with inline windows, then on 2 worker threads.
+    for (const unsigned threads : {0u, 2u}) {
+      SCOPED_TRACE(threads);
+      EXPECT_EQ(run_storm(cell.arch, cell.feature,
+                          {.shards = 4, .threads = threads})
+                    .transcript,
+                reference.transcript);
+    }
+    if (cell.feature == Feature::kRestartGrOverload) {
+      // Both features engaged, or the cell would prove nothing.
+      EXPECT_GT(reference.queue.enqueued, 0u) << reference.transcript;
+      EXPECT_GT(reference.gr_recoveries, 0u) << reference.transcript;
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -188,6 +189,64 @@ TEST_F(NetworkTest, PerByteDelayExtendsDelivery) {
   net_->send(a_, b_, {1, 2, 3, 4});  // 3.0 + 4 * 0.5 = 5.0
   engine_.run();
   EXPECT_DOUBLE_EQ(engine_.now(), 5.0);
+}
+
+TEST_F(NetworkTest, IngressQueueServesByClassAndShedsTheLeastImportant) {
+  // Bounded class-priority ingress queues, 4 frames per AD. Nine frames
+  // from a reach b in one instant, two from b reach a in the same one.
+  net_->set_overload(OverloadConfig{.queue_limit = 4});
+  const auto send = [&](AdId from, AdId to, char tag, MsgClass cls) {
+    ASSERT_TRUE(net_->send(
+        from, to, std::vector<std::uint8_t>{static_cast<std::uint8_t>(tag)},
+        cls));
+  };
+  send(a_, b_, 'r', MsgClass::kRefresh);
+  send(a_, b_, 'u', MsgClass::kUpdate);
+  send(a_, b_, 'R', MsgClass::kRefresh);
+  send(a_, b_, 'U', MsgClass::kUpdate);  // queue full from here on
+  send(a_, b_, 'w', MsgClass::kWithdrawal);  // evicts R, the newest refresh
+  send(a_, b_, 'k', MsgClass::kKeepalive);   // evicts r, the last refresh
+  send(a_, b_, 'x', MsgClass::kRefresh);     // nothing below: x is shed
+  send(a_, b_, 'y', MsgClass::kUpdate);      // nothing below: y is shed
+  send(a_, b_, 'W', MsgClass::kWithdrawal);  // evicts U, the newest update
+  send(b_, a_, '1', MsgClass::kUpdate);
+  send(b_, a_, '2', MsgClass::kUpdate);
+  engine_.run();
+
+  // Strict class order on service, FIFO within a class.
+  std::string served_at_b;
+  for (const auto& [from, bytes] : nodes_[b_.v]->received) {
+    EXPECT_EQ(from, a_);
+    served_at_b += static_cast<char>(bytes.at(0));
+  }
+  EXPECT_EQ(served_at_b, "kwWu");
+  EXPECT_EQ(nodes_[a_.v]->received.size(), 2u);
+
+  OverloadStats s = net_->overload_stats();
+  EXPECT_EQ(s.enqueued, 9u);  // 7 at b, 2 at a
+  EXPECT_EQ(s.served, 6u);
+  EXPECT_EQ(s.dropped[static_cast<std::size_t>(MsgClass::kKeepalive)], 0u);
+  EXPECT_EQ(s.dropped[static_cast<std::size_t>(MsgClass::kWithdrawal)], 0u);
+  EXPECT_EQ(s.dropped[static_cast<std::size_t>(MsgClass::kUpdate)], 2u);
+  EXPECT_EQ(s.dropped[static_cast<std::size_t>(MsgClass::kRefresh)], 3u);
+  EXPECT_EQ(s.dropped_total(), 5u);
+  EXPECT_EQ(s.peak_depth, 4u);  // b's queue; a's peaked at 2
+  EXPECT_EQ(s.cleared_on_crash, 0u);
+  EXPECT_EQ(net_->counters(b_).msgs_dropped, 5u);
+  EXPECT_EQ(net_->counters(b_).msgs_delivered, 4u);
+  EXPECT_EQ(net_->counters(a_).msgs_delivered, 2u);
+
+  // b crashes with three frames from c queued, before their service.
+  const SimTime arrival = engine_.now() + 4.0;
+  for (const char tag : {'p', 'q', 's'}) send(c_, b_, tag, MsgClass::kUpdate);
+  engine_.at(arrival + 0.25, [&] { net_->crash(b_); });
+  engine_.run();
+  s = net_->overload_stats();
+  EXPECT_EQ(s.enqueued, 12u);
+  EXPECT_EQ(s.served, 6u);
+  EXPECT_EQ(s.cleared_on_crash, 3u);
+  EXPECT_EQ(s.peak_depth, 4u);
+  EXPECT_EQ(net_->total().msgs_delivered, 6u);
 }
 
 TEST(FailureInjector, ScriptedFailureAndRepair) {

@@ -82,12 +82,12 @@ TEST_F(TransportTest, RecoversFromHeavyLoss) {
   engine_.run();
   ASSERT_EQ(delivered.size(), 1u);
 
-  net_->set_loss(0.20, /*seed=*/99);
+  net_->set_faults({.loss_rate = 0.20}, /*seed=*/99);
   for (int i = 0; i < 50; ++i) {
     conn.send(bytes_of("m" + std::to_string(i)));
   }
   engine_.run();
-  net_->set_loss(0.0, 0);
+  net_->set_faults({}, 0);
 
   ASSERT_EQ(delivered.size(), 51u);
   for (int i = 0; i < 50; ++i) {
@@ -96,7 +96,7 @@ TEST_F(TransportTest, RecoversFromHeavyLoss) {
   }
   EXPECT_FALSE(conn.failed());
   EXPECT_GT(conn.retransmissions(), 0u);
-  EXPECT_GT(net_->losses(), 0u);
+  EXPECT_GT(net_->total().msgs_lost, 0u);
 }
 
 TEST_F(TransportTest, WindowOneIsStopAndWait) {
@@ -150,12 +150,12 @@ TEST_F(TransportTest, BidirectionalConversation) {
 TEST_F(TransportTest, SetupRetransmissionSurvivesLostSetup) {
   // Turn loss on BEFORE the PR exists: the setup packet itself may be
   // lost; the source must retry until the ack arrives.
-  net_->set_loss(0.5, /*seed=*/7);
+  net_->set_faults({.loss_rate = 0.5}, /*seed=*/7);
   FlowSpec flow{fig_.campus[0], fig_.campus[6]};
   OrwgNode* src = nodes_[flow.src.v];
   ASSERT_TRUE(src->send_flow(flow, 1));
   engine_.run();
-  net_->set_loss(0.0, 0);
+  net_->set_faults({}, 0);
   // The PR eventually established (or timed out -- with 5 retries at 50%
   // loss over 5 hops establishment is not guaranteed, but the machinery
   // must have either delivered or counted a timeout; never hung).

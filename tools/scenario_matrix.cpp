@@ -251,7 +251,7 @@ StormRun run_storm(const std::string& arch, const ScaleChaosParams& params) {
       .count("ads", run.s.ads)
       .count("transit_ads", run.s.transit_ads)
       .count("seed", params.seed)
-      .count("beacons", params.beacon_count);
+      .count("beacons", run.s.beacons);
   return run;
 }
 
@@ -376,8 +376,8 @@ void run_restart(std::uint32_t ads, std::uint64_t seed,
       StormRun run = run_storm(arch, params);
       const ScaleChaosResult& s = run.s;
       run.row.text("mode", mode.name)
-          .count("restart_nodes", params.restart_nodes)
-          .count("restart_waves", params.restart_waves)
+          .count("restart_nodes", kRestartStormNodes)
+          .count("restart_waves", kRestartStormWaves)
           .count("node_crashes", s.node_crashes)
           .num("continuity_pct", 100.0 * s.invariants.continuity(), 4)
           .count("continuity_probes", s.invariants.continuity_probes)
@@ -483,7 +483,7 @@ void run_byzantine(std::uint32_t, std::uint64_t seed, std::vector<Row>& rows) {
       params.policy_mode = PolicyMode::kProviderCustomer;
       params.byzantine.count = 4;
       params.byzantine.defended = defended;
-      params.audit.sample_pairs = 0;  // every honest ordered pair
+      params.audit_sample_pairs = 0;  // every honest ordered pair
       add_figure1_row(arch, params, rows);
     }
   }
