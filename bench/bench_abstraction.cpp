@@ -9,8 +9,6 @@
 // expansion, flat fallback) against flat synthesis: search work saved,
 // advertisement footprint saved, stretch paid, and how often optimism
 // forces the fallback.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "cluster/aggregate.hpp"
@@ -104,37 +102,9 @@ void report() {
       "quantified one level up from ADs.\n");
 }
 
-void BM_HierarchicalVsFlat(benchmark::State& state) {
-  ScenarioParams params;
-  params.seed = 13;
-  params.target_ads = 128;
-  params.flow_count = 16;
-  Scenario scenario = make_scenario(params);
-  const Clustering clustering = cluster_by_hierarchy(scenario.topo);
-  const ClusterGraph graph =
-      aggregate(scenario.topo, scenario.policies, clustering);
-  const bool hierarchical = state.range(0) != 0;
-  const GroundTruthView flat_view(scenario.topo, scenario.policies);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const FlowSpec& flow = scenario.flows[i++ % scenario.flows.size()];
-    if (hierarchical) {
-      benchmark::DoNotOptimize(
-          synthesize_hierarchical(scenario.topo, scenario.policies,
-                                  clustering, graph, flow)
-              .result.cost);
-    } else {
-      benchmark::DoNotOptimize(synthesize_route(flat_view, flow).cost);
-    }
-  }
-}
-BENCHMARK(BM_HierarchicalVsFlat)->Arg(1)->Arg(0);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -8,8 +8,6 @@
 // deliberately pathological cyclic topology, (b) Figure 1, and (c) a
 // generated 64-AD internet, measuring messages and simulated time to
 // re-quiescence after a link failure.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/adapters.hpp"
@@ -108,24 +106,9 @@ void report() {
       "topology here is cyclic, which EGP's admission check rejects.\n");
 }
 
-void BM_ReconvergeAfterFailure(benchmark::State& state) {
-  // Wall-clock cost of one simulated failure/reconvergence cycle (IDRP,
-  // Figure 1).
-  for (auto _ : state) {
-    Case c = figure1_case();
-    IdrpArchitecture idrp;
-    idrp.build(c.topo, c.policies);
-    const auto recon = idrp.perturb(c.cut, false);
-    benchmark::DoNotOptimize(recon.messages);
-  }
-}
-BENCHMARK(BM_ReconvergeAfterFailure)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -8,8 +8,6 @@
 // within a window coalesce into one message per neighbor) across
 // topology sizes, measuring messages, bytes, and the convergence-delay
 // price of batching.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/adapters.hpp"
@@ -52,28 +50,9 @@ void report() {
       "vs freshness tradeoff the paper's open issue describes.\n");
 }
 
-void BM_ConvergeWithBatching(benchmark::State& state) {
-  ScenarioParams params;
-  params.seed = 23;
-  params.target_ads = 64;
-  params.flow_count = 4;
-  Scenario scenario = make_scenario(params);
-  OrwgConfig config;
-  config.lsa_batch_ms = static_cast<double>(state.range(0));
-  for (auto _ : state) {
-    OrwgArchitecture arch(config);
-    arch.build(scenario.topo, scenario.policies);
-    benchmark::DoNotOptimize(arch.initial_convergence().messages);
-  }
-}
-BENCHMARK(BM_ConvergeWithBatching)->Arg(0)->Arg(25)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,10 +6,7 @@
 // different ADs may not be mutually satisfiable"), and (2) the ordering
 // must be recomputed and renegotiated centrally whenever policy changes.
 // We sweep the density of AD-submitted ordering constraints and measure
-// how many survive, how many negotiation rounds the authority needs, and
-// (with google-benchmark) the recomputation cost itself.
-#include <benchmark/benchmark.h>
-
+// how many survive and how many negotiation rounds the authority needs.
 #include <cstdio>
 
 #include "proto/ecma/partial_order.hpp"
@@ -74,27 +71,9 @@ void report() {
       "re-triggers the global recomputation measured below.\n");
 }
 
-void BM_RecomputePartialOrder(benchmark::State& state) {
-  const auto ads = static_cast<std::uint32_t>(state.range(0));
-  const auto constraints_count = static_cast<std::size_t>(state.range(1));
-  Prng prng(9);
-  Topology topo = generate_topology_of_size(ads, prng);
-  const auto constraints = random_constraints(topo, constraints_count, prng);
-  for (auto _ : state) {
-    const OrderResult result = compute_partial_order(topo, constraints);
-    benchmark::DoNotOptimize(result.negotiation_rounds);
-  }
-}
-BENCHMARK(BM_RecomputePartialOrder)
-    ->Args({64, 16})
-    ->Args({256, 64})
-    ->Args({1024, 256});
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

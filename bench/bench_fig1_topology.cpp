@@ -5,10 +5,7 @@
 // census for generated internets at increasing scale, demonstrating the
 // §2.1 model: hierarchy + persistent lateral and bypass links, stub /
 // multi-homed / transit / hybrid roles, and the path diversity the
-// non-hierarchical links create. Ends with a google-benchmark timing of
-// topology generation.
-#include <benchmark/benchmark.h>
-
+// non-hierarchical links create.
 #include <cstdio>
 
 #include "topology/algos.hpp"
@@ -78,30 +75,9 @@ void report() {
   std::printf("%s\n", div.render().c_str());
 }
 
-void BM_GenerateTopology(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    Prng prng(seed++);
-    Topology t = generate_topology_of_size(n, prng);
-    benchmark::DoNotOptimize(t.link_count());
-  }
-}
-BENCHMARK(BM_GenerateTopology)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_BuildFigure1(benchmark::State& state) {
-  for (auto _ : state) {
-    Figure1 fig = build_figure1();
-    benchmark::DoNotOptimize(fig.topo.link_count());
-  }
-}
-BENCHMARK(BM_BuildFigure1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

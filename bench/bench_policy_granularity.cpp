@@ -13,8 +13,6 @@
 //   * LS-HbH: route computations and per-flow cache entries at transit
 //     ADs;
 //   * ORWG: route-server syntheses (at sources only) and PG handle state.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/adapters.hpp"
@@ -113,27 +111,9 @@ void report() {
       "with computation only at sources.\n");
 }
 
-void BM_GroupedPolicyEvaluation(benchmark::State& state) {
-  const auto groups = static_cast<std::uint32_t>(state.range(0));
-  Prng prng(100 + groups);
-  Topology topo = generate_topology_of_size(32, prng);
-  const PolicySet policies = make_grouped_policies(topo, groups, prng);
-  Prng flow_prng(9);
-  const auto flows = sample_flows(topo, 16, flow_prng);
-  for (auto _ : state) {
-    LshhArchitecture lshh;
-    const auto eval = evaluate_architecture(lshh, topo, policies, flows);
-    benchmark::DoNotOptimize(eval.computations);
-  }
-}
-BENCHMARK(BM_GroupedPolicyEvaluation)->Arg(1)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

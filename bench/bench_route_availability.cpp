@@ -7,8 +7,6 @@
 // This bench sweeps the restrictiveness of transit policies and reports,
 // per architecture, the fraction of oracle-confirmed-routable flows for
 // which the architecture delivers a legal route.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/adapters.hpp"
@@ -70,28 +68,9 @@ void report() {
       "path repeats the computation (see E-state).\n");
 }
 
-void BM_AvailabilitySweepPoint(benchmark::State& state) {
-  ScenarioParams params;
-  params.seed = 1;
-  params.target_ads = 48;
-  params.flow_count = 16;
-  params.restrict_prob = static_cast<double>(state.range(0)) / 100.0;
-  Scenario scenario = make_scenario(params);
-  for (auto _ : state) {
-    IdrpArchitecture idrp;
-    const ArchEvaluation eval = evaluate_architecture(
-        idrp, scenario.topo, scenario.policies, scenario.flows);
-    benchmark::DoNotOptimize(eval.legal);
-  }
-}
-BENCHMARK(BM_AvailabilitySweepPoint)->Arg(0)->Arg(40)->Arg(80)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

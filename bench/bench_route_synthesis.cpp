@@ -14,8 +14,6 @@
 // request time (the setup-latency proxy), and cache hit rate. A second
 // table sweeps topology size and policy restrictiveness to show how
 // synthesis cost scales -- the tradeoff study the paper calls for.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/adapters.hpp"
@@ -161,25 +159,9 @@ void report() {
       "the combination the paper recommends.\n");
 }
 
-void BM_SingleSynthesis(benchmark::State& state) {
-  const Workload w = make_workload(11, static_cast<std::uint32_t>(state.range(0)), 0.3);
-  OrwgArchitecture arch;
-  arch.build(w.scenario.topo, w.scenario.policies);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const FlowSpec& flow = w.requests[i++ % w.requests.size()];
-    // Fresh synthesis each time: use the oracle-style direct search.
-    OrwgNode* node = arch.nodes()[flow.src.v];
-    benchmark::DoNotOptimize(node->policy_route(flow));
-  }
-}
-BENCHMARK(BM_SingleSynthesis)->Arg(64)->Arg(128);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

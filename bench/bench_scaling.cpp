@@ -5,8 +5,6 @@
 // and measure initial-convergence messages/bytes and per-AD state for
 // each architecture, then print per-AD averages whose growth trend is
 // the quantity of interest (absolute numbers are simulator-scale).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/adapters.hpp"
@@ -71,27 +69,9 @@ void report() {
       "trend lines; the simulation stops at 512 ADs.\n");
 }
 
-void BM_ConvergenceAtScale(benchmark::State& state) {
-  const auto ads = static_cast<std::uint32_t>(state.range(0));
-  ScenarioParams params;
-  params.seed = 5;
-  params.target_ads = ads;
-  params.flow_count = 4;
-  Scenario scenario = make_scenario(params);
-  for (auto _ : state) {
-    OrwgArchitecture orwg;
-    orwg.build(scenario.topo, scenario.policies);
-    benchmark::DoNotOptimize(orwg.initial_convergence().messages);
-  }
-}
-BENCHMARK(BM_ConvergenceAtScale)->Arg(64)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -8,8 +8,6 @@
 // overhead amortized over the flow, and the comparison against (a) a
 // naive source-routing data plane that carries the full route in every
 // packet (dv-sr style) and (b) the fixed hop-by-hop header.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/adapters.hpp"
@@ -87,26 +85,9 @@ void report() {
       "the policy route, as the paper's virtual-circuit analogy implies.\n");
 }
 
-void BM_SetupAndSend(benchmark::State& state) {
-  Figure1 fig = build_figure1();
-  const PolicySet policies = make_open_policies(fig.topo);
-  const FlowSpec flow{fig.campus[0], fig.campus[6]};
-  const auto packets = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    OrwgArchitecture arch;
-    arch.build(fig.topo, policies);
-    arch.nodes()[flow.src.v]->send_flow(flow, packets);
-    arch.network().engine().run();
-    benchmark::DoNotOptimize(arch.nodes()[flow.dst.v]->delivered());
-  }
-}
-BENCHMARK(BM_SetupAndSend)->Arg(1)->Arg(100)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

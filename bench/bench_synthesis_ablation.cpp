@@ -5,8 +5,6 @@
 // cost pruning. The paper only says heuristics "must be developed" (§6);
 // this bench quantifies how much each one buys by running the same
 // oracle-grade searches with each device switched off.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/oracle.hpp"
@@ -117,33 +115,9 @@ void report() {
       "developed\".\n");
 }
 
-void BM_SynthesisConfigured(benchmark::State& state) {
-  ScenarioParams params;
-  params.seed = 17;
-  params.target_ads = 64;
-  params.flow_count = 16;
-  Scenario scenario = make_scenario(params);
-  const GroundTruthView view(scenario.topo, scenario.policies);
-  SynthesisOptions options;
-  options.use_distance_heuristic = state.range(0) != 0;
-  options.use_cost_bound = state.range(1) != 0;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const FlowSpec& flow = scenario.flows[i++ % scenario.flows.size()];
-    benchmark::DoNotOptimize(synthesize_route(view, flow, options).cost);
-  }
-}
-BENCHMARK(BM_SynthesisConfigured)
-    ->Args({1, 1})
-    ->Args({0, 1})
-    ->Args({1, 0})
-    ->Args({0, 0});
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -9,8 +9,6 @@
 // (policy-violating) routes, loops, convergence traffic, state,
 // computation, and per-packet header cost. The four design points the
 // paper rejects as impractical are listed with the paper's reasons.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/adapters.hpp"
@@ -84,26 +82,9 @@ void report() {
       "policy-blind baselines violate policy freely.\n");
 }
 
-void BM_EvaluateOrwgOnScenario(benchmark::State& state) {
-  ScenarioParams params;
-  params.seed = 42;
-  params.target_ads = 48;
-  params.flow_count = 16;
-  Scenario scenario = make_scenario(params);
-  for (auto _ : state) {
-    OrwgArchitecture orwg;
-    const ArchEvaluation eval = evaluate_architecture(
-        orwg, scenario.topo, scenario.policies, scenario.flows);
-    benchmark::DoNotOptimize(eval.legal);
-  }
-}
-BENCHMARK(BM_EvaluateOrwgOnScenario)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

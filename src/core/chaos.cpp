@@ -1,7 +1,6 @@
 #include "core/chaos.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -34,6 +33,10 @@ constexpr KeepaliveConfig kKeepalive{.interval_ms = 30.0,
 // Periodic full-state refresh per node; bounds the staleness left by a
 // lost/corrupted triggered update.
 constexpr double kPeriodicRefreshMs = 300.0;
+// Byzantine ADs misbehave from this time on; a defended run quarantines
+// each one this long after its onset.
+constexpr SimTime kByzantineOnsetMs = 1'000.0;
+constexpr SimTime kDetectionDelayMs = 400.0;
 
 // --- run_scale_chaos: storm shapes -------------------------------------
 constexpr SimTime kStormOnsetDelayMs = 200.0;  // quiet gap after convergence
@@ -105,7 +108,7 @@ ChaosResult run_chaos(const std::string& arch, const ChaosParams& params) {
           params.byzantine.kinds.empty()
               ? kTaxonomy[i % 4]
               : params.byzantine.kinds[i % params.byzantine.kinds.size()];
-      spec.start_ms = params.byzantine.onset_ms;
+      spec.start_ms = kByzantineOnsetMs;
       if (spec.kind == Misbehavior::kFalseOrigin && !honest_stubs.empty()) {
         spec.victim = byz_prng.pick(honest_stubs);
       }
@@ -135,9 +138,9 @@ ChaosResult run_chaos(const std::string& arch, const ChaosParams& params) {
     net.set_misbehavior(spec);
     if (defended) {
       // Containment: the defenses' rejection counters make misbehavior
-      // visible; detection_delay_ms later the misbehaving AD is
+      // visible; kDetectionDelayMs later the misbehaving AD is
       // administratively quarantined (modeled operator response).
-      engine.at(spec.start_ms + params.byzantine.detection_delay_ms,
+      engine.at(spec.start_ms + kDetectionDelayMs,
                 [&net, ad = spec.ad] { net.quarantine(ad); });
     }
   }
@@ -173,7 +176,7 @@ ChaosResult run_chaos(const std::string& arch, const ChaosParams& params) {
     // anything containment already quarantined.
     auditor = std::make_unique<PolicyComplianceAuditor>(
         net,
-        AuditConfig{.onset_ms = params.byzantine.onset_ms,
+        AuditConfig{.onset_ms = kByzantineOnsetMs,
                     .sample_pairs = params.audit_sample_pairs},
         probe,
         make_design_reachable(arch, net, topo, policies, &order,
@@ -312,10 +315,7 @@ ScaleChaosResult run_scale_chaos(const std::string& arch,
     // its unreachability window is bounded by the worst-case release
     // time, so fold that bound into the grace window rather than calling
     // the mechanism's designed behavior a persistent violation.
-    window += params.damping.half_life_ms *
-                  std::log2(params.damping.max_penalty /
-                            params.damping.reuse_threshold) +
-              200.0;
+    window += max_suppression_ms(params.damping) + 200.0;
   }
   window += params.ls_holddown_ms;  // held-down originations lag the fault
 
@@ -327,15 +327,91 @@ ScaleChaosResult run_scale_chaos(const std::string& arch,
   FailureInjector injector(net);
   const SimTime t0 = result.converge_ms + kStormOnsetDelayMs;
   result.storm_begin_ms = t0;
-  SimTime last = t0;
-  std::uint64_t storm_state = params.seed ^ 0x73746f726dULL;  // "storm"
-  Prng prng(splitmix64(storm_state));
 
   // Churn snapshot at storm begin: scheduled BEFORE any injector event
   // at the same timestamp (same-time events run in insertion order).
   std::uint64_t msgs_at_begin = 0;
   engine.at(t0,
             [&net, &msgs_at_begin] { msgs_at_begin = net.total().msgs_sent; });
+
+  const SimTime last = schedule_storm(params, profile, injector, t0);
+  result.storm_end_ms = last;
+
+  // Storm-window churn is measured to a fixed settle probe shortly after
+  // the last transition, so the damped/undamped comparison integrates
+  // the same interval.
+  const SimTime settle_at = last + 200.0;
+  std::uint64_t msgs_at_settle = 0;
+  engine.at(settle_at, [&net, &msgs_at_settle] {
+    msgs_at_settle = net.total().msgs_sent;
+  });
+
+  const SimTime horizon = last + std::max(kStormTailMs, window + 1'000.0);
+  result.horizon_ms = horizon;
+  monitor.start(horizon);
+
+  // No keepalives, no periodic refresh: the queue drains once every
+  // storm reaction, release timer and monitor sweep has fired.
+  engine.run();
+  IDR_CHECK_MSG(engine.empty(), "scale chaos: run hit the event cap");
+
+  result.invariants = monitor.stats();
+  result.persistent_findings = monitor.persistent_findings();
+  result.totals = net.total();
+  result.counter_fingerprint = counter_fingerprint(net, topo);
+  result.storm_transitions =
+      injector.failures_injected() + injector.crashes_injected();
+  result.node_crashes = injector.crashes_injected();
+  result.overload = net.overload_stats();
+  result.gr_recoveries = net.gr_recoveries();
+  result.gr_flushes = net.gr_flushes();
+  result.updates_during_storm = msgs_at_settle - msgs_at_begin;
+  result.updates_after_storm = result.totals.msgs_sent - msgs_at_settle;
+  result.updates_per_sec_storm =
+      settle_at > t0 ? result.updates_during_storm / ((settle_at - t0) / 1e3)
+                     : 0.0;
+
+  const auto& cls_stats = result.invariants.fault_classes[storm_cls];
+  if (monitor.awaiting_clean_sweep()) {
+    result.reconverge_ms = -1.0;  // never reconverged before the horizon
+  } else if (cls_stats.reconverge_ms.count() > 0) {
+    result.reconverge_ms = cls_stats.reconverge_ms.max();
+  } else {
+    result.reconverge_ms = 0.0;  // no sweep ever saw the storm dirty
+  }
+
+  const SimTime end_now = engine.now();
+  for (const Ad& ad : topo.ads()) {
+    Node* node = net.node(ad.id);
+    if (auto* dv = dynamic_cast<PolicyDvNode*>(node)) {
+      FlapDamper& damper = dv->damper();
+      const DampingStats& ds = damper.stats();
+      result.flaps_recorded += ds.flaps;
+      result.routes_suppressed += ds.suppress_events;
+      result.routes_reused += ds.reuse_events;
+      result.suppressed_ms_total += ds.suppressed_ms;
+      result.suppressed_at_end += damper.suppressed_count(end_now);
+      result.gr_stale_flushed += dv->gr_stale_flushed();
+      result.gr_resyncs += dv->gr_resyncs();
+    } else if (auto* ls = dynamic_cast<PolicyLsNode*>(node)) {
+      result.ls_originations_suppressed += ls->originations_suppressed();
+      result.gr_retained += ls->gr_retained();
+      result.gr_resyncs += ls->gr_resyncs();
+      if (auto* orwg = dynamic_cast<OrwgNode*>(ls)) {
+        result.gr_memoized += orwg->gr_memoized();
+      }
+    }
+  }
+  return result;
+}
+
+SimTime schedule_storm(const ScaleChaosParams& params,
+                       const ScaleProfile& profile, FailureInjector& injector,
+                       SimTime t0) {
+  const Topology& topo = profile.topo;
+  SimTime last = t0;
+  std::uint64_t storm_state = params.seed ^ 0x73746f726dULL;  // "storm"
+  Prng prng(splitmix64(storm_state));
 
   switch (params.storm) {
     case StormFamily::kFlapStorm: {
@@ -436,74 +512,7 @@ ScaleChaosResult run_scale_chaos(const std::string& arch,
       break;
     }
   }
-  result.storm_end_ms = last;
-
-  // Storm-window churn is measured to a fixed settle probe shortly after
-  // the last transition, so the damped/undamped comparison integrates
-  // the same interval.
-  const SimTime settle_at = last + 200.0;
-  std::uint64_t msgs_at_settle = 0;
-  engine.at(settle_at, [&net, &msgs_at_settle] {
-    msgs_at_settle = net.total().msgs_sent;
-  });
-
-  const SimTime horizon = last + std::max(kStormTailMs, window + 1'000.0);
-  result.horizon_ms = horizon;
-  monitor.start(horizon);
-
-  // No keepalives, no periodic refresh: the queue drains once every
-  // storm reaction, release timer and monitor sweep has fired.
-  engine.run();
-  IDR_CHECK_MSG(engine.empty(), "scale chaos: run hit the event cap");
-
-  result.invariants = monitor.stats();
-  result.persistent_findings = monitor.persistent_findings();
-  result.totals = net.total();
-  result.counter_fingerprint = counter_fingerprint(net, topo);
-  result.storm_transitions =
-      injector.failures_injected() + injector.crashes_injected();
-  result.node_crashes = injector.crashes_injected();
-  result.overload = net.overload_stats();
-  result.gr_recoveries = net.gr_recoveries();
-  result.gr_flushes = net.gr_flushes();
-  result.updates_during_storm = msgs_at_settle - msgs_at_begin;
-  result.updates_after_storm = result.totals.msgs_sent - msgs_at_settle;
-  result.updates_per_sec_storm =
-      settle_at > t0 ? result.updates_during_storm / ((settle_at - t0) / 1e3)
-                     : 0.0;
-
-  const auto& cls_stats = result.invariants.fault_classes[storm_cls];
-  if (monitor.awaiting_clean_sweep()) {
-    result.reconverge_ms = -1.0;  // never reconverged before the horizon
-  } else if (cls_stats.reconverge_ms.count() > 0) {
-    result.reconverge_ms = cls_stats.reconverge_ms.max();
-  } else {
-    result.reconverge_ms = 0.0;  // no sweep ever saw the storm dirty
-  }
-
-  const SimTime end_now = engine.now();
-  for (const Ad& ad : topo.ads()) {
-    Node* node = net.node(ad.id);
-    if (auto* dv = dynamic_cast<PolicyDvNode*>(node)) {
-      FlapDamper& damper = dv->damper();
-      const DampingStats& ds = damper.stats();
-      result.flaps_recorded += ds.flaps;
-      result.routes_suppressed += ds.suppress_events;
-      result.routes_reused += ds.reuse_events;
-      result.suppressed_ms_total += ds.suppressed_ms;
-      result.suppressed_at_end += damper.suppressed_count(end_now);
-      result.gr_stale_flushed += dv->gr_stale_flushed();
-      result.gr_resyncs += dv->gr_resyncs();
-    } else if (auto* ls = dynamic_cast<PolicyLsNode*>(node)) {
-      result.ls_originations_suppressed += ls->originations_suppressed();
-      result.gr_retained += ls->gr_retained();
-      result.gr_resyncs += ls->gr_resyncs();
-      if (auto* orwg = dynamic_cast<OrwgNode*>(ls)) {
-        result.gr_memoized += orwg->gr_memoized();
-      }
-    }
-  }
-  return result;
+  return last;
 }
 
 }  // namespace idr

@@ -33,6 +33,9 @@
 
 namespace idr {
 
+class FailureInjector;
+struct ScaleProfile;
+
 // Transit-policy shape for the run. Byzantine route-leak experiments need
 // kProviderCustomer: with fully open policies there is no transit promise
 // a leaker could break.
@@ -48,10 +51,9 @@ struct ByzantineParams {
   // Arm the per-design-point defenses (ECMA receiver-side partial-order
   // enforcement, IDRP neighbor-consistency clamping, LS/LSHH origin
   // authentication, ORWG registry-validated synthesis) and quarantine
-  // misbehaving ADs detection_delay_ms after onset.
+  // misbehaving ADs a fixed detection delay after the misbehavior's
+  // onset (both constants in core/chaos.cpp).
   bool defended = false;
-  SimTime onset_ms = 1'000.0;
-  SimTime detection_delay_ms = 400.0;
   // Misbehavior kinds assigned round-robin to the chosen ADs; empty =
   // the full taxonomy {leak, false-origin, black hole, tamper}.
   std::vector<Misbehavior> kinds;
@@ -66,7 +68,7 @@ struct ChaosParams {
   PolicyMode policy_mode = PolicyMode::kOpen;
   ByzantineParams byzantine;
   // Honest (src, dst) pairs the policy-compliance auditor samples (0 =
-  // every pair); its sweeps begin at byzantine.onset_ms.
+  // every pair); its sweeps begin at the misbehavior's onset.
   std::size_t audit_sample_pairs = 48;
 
   // Churn is injected in [0, horizon * churn_fraction]; the rest of the
@@ -153,10 +155,10 @@ struct ScaleChaosParams {
   SimTime restart_down_ms = 300.0;  // restart storm: outage per crash
 
   // Recovery knobs, all off by default (existing behavior unchanged).
-  DampingConfig damping;        // DV family (ECMA, IDRP)
+  DampingConfig damping{};      // DV family (ECMA, IDRP)
   SimTime ls_holddown_ms = 0.0; // LS family (LS-HbH, ORWG)
-  GrConfig gr;                  // graceful restart (restart storm)
-  OverloadConfig overload;      // bounded class-prioritized ingress queues
+  GrConfig gr{};                // graceful restart (restart storm)
+  OverloadConfig overload{};    // bounded class-prioritized ingress queues
 };
 
 struct ScaleChaosResult {
@@ -207,6 +209,13 @@ struct ScaleChaosResult {
   std::uint64_t gr_retained = 0;      // LS adjacency retentions entered
   std::uint64_t gr_memoized = 0;      // ORWG cache answers inside grace
 };
+
+// Schedules the storm's transitions on `injector` from `t0` on; the links,
+// beacons or transit ADs it hits are drawn from a PRNG seeded by
+// params.seed. Returns the time of the last scheduled transition.
+SimTime schedule_storm(const ScaleChaosParams& params,
+                       const ScaleProfile& profile, FailureInjector& injector,
+                       SimTime t0);
 
 // Run one storm family over the scale profile for `arch`. Deterministic
 // in (arch, params): same seed, same storm schedule, same fingerprint.

@@ -4,6 +4,11 @@
 #include "util/check.hpp"
 
 namespace idr {
+namespace {
+
+constexpr double kAvoidFraction = 0.1;  // stubs with an avoid-list entry
+
+}  // namespace
 
 std::vector<FlowSpec> sample_flows(const Topology& topo, std::size_t count,
                                    Prng& prng) {
@@ -42,15 +47,12 @@ Scenario make_scenario(const ScenarioParams& params) {
                   std::to_string(params.seed);
   scenario.topo = generate_topology_of_size(params.target_ads, prng);
 
-  PolicySet base = params.provider_customer
-                       ? make_provider_customer_policies(scenario.topo)
-                       : make_open_policies(scenario.topo);
   RestrictionParams restrict;
   restrict.restrict_prob = params.restrict_prob;
   restrict.source_selectivity = params.source_selectivity;
-  restrict.terms_per_ad = params.terms_per_ad;
-  scenario.policies =
-      make_restricted_policies(scenario.topo, base, restrict, prng);
+  scenario.policies = make_restricted_policies(
+      scenario.topo, make_provider_customer_policies(scenario.topo), restrict,
+      prng);
   if (params.aup_on_first_backbone) {
     for (const Ad& ad : scenario.topo.ads()) {
       if (ad.cls == AdClass::kBackbone) {
@@ -59,8 +61,8 @@ Scenario make_scenario(const ScenarioParams& params) {
       }
     }
   }
-  add_source_avoidance(scenario.topo, scenario.policies,
-                       params.avoid_fraction, prng);
+  add_source_avoidance(scenario.topo, scenario.policies, kAvoidFraction,
+                       prng);
 
   scenario.flows = sample_flows(scenario.topo, params.flow_count, prng);
   return scenario;

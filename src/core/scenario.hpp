@@ -26,13 +26,11 @@ struct ScenarioParams {
   std::uint32_t target_ads = 64;
   std::size_t flow_count = 64;
 
-  // Policy mix.
-  bool provider_customer = true;  // else fully open transit
+  // Policy mix over provider-customer transit: restricted transits get
+  // three Policy Terms each, and a tenth of the stubs an avoid-list entry.
   bool aup_on_first_backbone = false;
   double restrict_prob = 0.25;         // fraction of transits restricted
   double source_selectivity = 0.6;     // sources allowed per restricted PT
-  double avoid_fraction = 0.1;         // stubs with an avoid-list entry
-  std::uint32_t terms_per_ad = 3;
 };
 
 Scenario make_scenario(const ScenarioParams& params);

@@ -8,6 +8,11 @@
 namespace idr {
 namespace {
 
+// A restricted transit AD advertises this many PTs, each with a cost drawn
+// uniformly from [1, kMaxRestrictedCost].
+constexpr std::uint32_t kTermsPerRestrictedAd = 3;
+constexpr std::uint32_t kMaxRestrictedCost = 8;
+
 // Hierarchical children of `ad`: neighbors across hierarchical links whose
 // class is strictly lower in the hierarchy (higher enum value).
 std::vector<AdId> hierarchy_children(const Topology& topo, AdId ad) {
@@ -115,7 +120,7 @@ PolicySet make_restricted_policies(const Topology& topo,
       for (const PolicyTerm& t : base.terms(ad.id)) policies.add_term(t);
       continue;
     }
-    for (std::uint32_t k = 0; k < params.terms_per_ad; ++k) {
+    for (std::uint32_t k = 0; k < kTermsPerRestrictedAd; ++k) {
       PolicyTerm t = open_transit_term(ad.id, k);
       // Source restriction: allow a random subset of all ADs.
       std::vector<AdId> allowed;
@@ -136,7 +141,7 @@ PolicySet make_restricted_policies(const Topology& topo,
         t.hour_begin = 8;
         t.hour_end = 18;
       }
-      t.cost = static_cast<std::uint32_t>(prng.uniform(1, params.max_cost));
+      t.cost = static_cast<std::uint32_t>(prng.uniform(1, kMaxRestrictedCost));
       policies.add_term(std::move(t));
     }
   }

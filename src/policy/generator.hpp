@@ -33,8 +33,6 @@ std::vector<AdId> customer_cone(const Topology& topo, AdId provider);
 struct RestrictionParams {
   // Probability a transit AD replaces its open/cone PTs with restricted ones.
   double restrict_prob = 0.3;
-  // For a restricted AD: number of PTs it advertises.
-  std::uint32_t terms_per_ad = 3;
   // Each restricted PT allows this fraction of ADs as sources.
   double source_selectivity = 0.5;
   // Probability a restricted PT limits QoS to one class.
@@ -43,12 +41,11 @@ struct RestrictionParams {
   double uci_restrict_prob = 0.2;
   // Probability a restricted PT has a (business-hours) time window.
   double tod_restrict_prob = 0.1;
-  // PT costs drawn uniformly from [1, max_cost].
-  std::uint32_t max_cost = 8;
 };
 
 // Starts from `base` (e.g. provider/customer) and randomly restricts
-// transit ADs per `params`. Deterministic in prng.
+// transit ADs per `params`. How many PTs a restricted AD advertises and
+// their cost range are constants in generator.cpp. Deterministic in prng.
 PolicySet make_restricted_policies(const Topology& topo,
                                    const PolicySet& base,
                                    const RestrictionParams& params,

@@ -5,6 +5,18 @@
 #include <vector>
 
 namespace idr {
+namespace {
+
+constexpr double kPenaltyPerFlap = 1'000.0;
+constexpr double kSuppressThreshold = 2'000.0;
+constexpr double kReuseThreshold = 750.0;
+constexpr double kMaxPenalty = 8'000.0;
+
+}  // namespace
+
+SimTime max_suppression_ms(const DampingConfig& config) {
+  return config.half_life_ms * std::log2(kMaxPenalty / kReuseThreshold);
+}
 
 double FlapDamper::decayed(const RouteState& s, SimTime now) const {
   if (now <= s.updated_at) return s.penalty;
@@ -14,19 +26,17 @@ double FlapDamper::decayed(const RouteState& s, SimTime now) const {
 
 SimTime FlapDamper::release_delay(const RouteState& s, SimTime now) const {
   const double penalty = decayed(s, now);
-  if (penalty <= config_.reuse_threshold) return 0.0;
-  return config_.half_life_ms *
-         std::log2(penalty / config_.reuse_threshold);
+  if (penalty <= kReuseThreshold) return 0.0;
+  return config_.half_life_ms * std::log2(penalty / kReuseThreshold);
 }
 
 bool FlapDamper::note_flap(std::uint64_t key, SimTime now) {
   if (!config_.enabled) return false;
   ++stats_.flaps;
   RouteState& s = routes_[key];
-  s.penalty = std::min(decayed(s, now) + config_.penalty_per_flap,
-                       config_.max_penalty);
+  s.penalty = std::min(decayed(s, now) + kPenaltyPerFlap, kMaxPenalty);
   s.updated_at = now;
-  if (!s.suppressed && s.penalty >= config_.suppress_threshold) {
+  if (!s.suppressed && s.penalty >= kSuppressThreshold) {
     s.suppressed = true;
     s.suppressed_since = now;
     ++stats_.suppress_events;
@@ -40,7 +50,7 @@ bool FlapDamper::suppressed(std::uint64_t key, SimTime now) {
   RouteState* s = routes_.find(key);
   if (!s) return false;
   if (!s->suppressed) return false;
-  if (decayed(*s, now) <= config_.reuse_threshold) {
+  if (decayed(*s, now) <= kReuseThreshold) {
     s->suppressed = false;
     ++stats_.reuse_events;
     stats_.suppressed_ms += now - s->suppressed_since;
@@ -52,7 +62,7 @@ bool FlapDamper::suppressed(std::uint64_t key, SimTime now) {
 bool FlapDamper::would_suppress(std::uint64_t key, SimTime now) const {
   if (!config_.enabled) return false;
   const RouteState* s = routes_.find(key);
-  return s && s->suppressed && decayed(*s, now) > config_.reuse_threshold;
+  return s && s->suppressed && decayed(*s, now) > kReuseThreshold;
 }
 
 SimTime FlapDamper::next_release_eta(SimTime now) const {

@@ -1,13 +1,14 @@
 // Route-flap damping for the DV family (RFC 2439 shape, per-route
 // figure of merit): every time a route's selected state changes the
-// route accrues `penalty_per_flap`; the penalty decays exponentially
-// with `half_life_ms`. While the penalty is at or above
-// `suppress_threshold` the route is SUPPRESSED: the node keeps using it
-// for its own forwarding (local repair is not the problem flapping
-// causes) but stops advertising it, so the churn a flapping link
-// generates dies at the first damping hop instead of re-triggering a
-// network-wide update wave per transition. Once the penalty decays to
-// `reuse_threshold` the route is released and re-advertised.
+// route accrues a fixed penalty; the penalty decays exponentially with
+// `half_life_ms`. While the penalty is at or above the suppress
+// threshold the route is SUPPRESSED: the node keeps using it for its
+// own forwarding (local repair is not the problem flapping causes) but
+// stops advertising it, so the churn a flapping link generates dies at
+// the first damping hop instead of re-triggering a network-wide update
+// wave per transition. Once the penalty decays to the reuse threshold
+// the route is released and re-advertised. The penalty, thresholds and
+// ceiling are constants in damping.cpp.
 //
 // The damper composes with MRAI batching: flaps are recorded at
 // RIB-apply time (every selected-state change counts, even several
@@ -27,14 +28,12 @@ namespace idr {
 
 struct DampingConfig {
   bool enabled = false;
-  double penalty_per_flap = 1'000.0;
   double half_life_ms = 1'000.0;
-  double suppress_threshold = 2'000.0;
-  double reuse_threshold = 750.0;
-  // Penalty ceiling; bounds the maximum suppression time after the last
-  // flap to half_life_ms * log2(max_penalty / reuse_threshold).
-  double max_penalty = 8'000.0;
 };
+
+// The penalty ceiling bounds how long a route stays suppressed after its
+// last flap: half_life_ms * log2(max penalty / reuse threshold).
+[[nodiscard]] SimTime max_suppression_ms(const DampingConfig& config);
 
 struct DampingStats {
   std::uint64_t flaps = 0;            // selected-state changes recorded

@@ -10,14 +10,6 @@ namespace idr {
 void DvNode::start() {
   routes_[self().v] = Route{0, self()};
   broadcast_vector();
-  if (config_.periodic_interval_ms > 0.0) schedule_periodic();
-}
-
-void DvNode::schedule_periodic() {
-  schedule_guarded(config_.periodic_interval_ms, [this]() {
-    broadcast_vector();
-    schedule_periodic();
-  });
 }
 
 std::vector<std::uint8_t> DvNode::encode_vector_for(AdId neighbor) {
@@ -94,7 +86,7 @@ void DvNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
       changed = true;
     }
   }
-  if (changed && config_.triggered_updates) broadcast_vector();
+  if (changed) broadcast_vector();
 
   // Repair heuristic (stands in for RIP's periodic refresh in the
   // event-driven simulation): if the neighbor explicitly advertised a
@@ -133,7 +125,7 @@ void DvNode::on_link_change(AdId neighbor, bool up) {
       changed = true;
     }
   }
-  if (changed && config_.triggered_updates) broadcast_vector();
+  if (changed) broadcast_vector();
 }
 
 std::optional<AdId> DvNode::next_hop(AdId dst) const {

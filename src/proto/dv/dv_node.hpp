@@ -18,8 +18,6 @@ struct DvConfig {
   std::uint16_t infinity = 16;       // RIP-style small infinity
   bool split_horizon = false;
   bool poisoned_reverse = false;     // implies split horizon semantics
-  bool triggered_updates = true;
-  double periodic_interval_ms = 0.0;  // 0: no periodic refresh
 };
 
 class DvNode : public ProtoNode {
@@ -48,7 +46,6 @@ class DvNode : public ProtoNode {
   };
 
   void broadcast_vector();
-  void schedule_periodic();
   [[nodiscard]] std::vector<std::uint8_t> encode_vector_for(AdId neighbor);
 
   DvConfig config_;

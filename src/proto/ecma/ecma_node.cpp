@@ -63,9 +63,9 @@ std::vector<std::uint8_t> EcmaNode::encode_for(AdId /*neighbor*/) const {
       // entirely: not poisoned -- absence means "no change" to an ECMA
       // receiver -- and not advertised as usable either.
       if (r->stale) continue;
-      const bool valid = r->valid(config_.infinity) && !damped;
+      const bool valid = r->valid() && !damped;
       std::uint8_t down_only = r->down_only ? 1 : 0;
-      std::uint16_t metric = valid ? r->metric : config_.infinity;
+      std::uint16_t metric = valid ? r->metric : kInfinity;
       if (mis == Misbehavior::kRouteLeak) down_only = 1;
       if (mis == Misbehavior::kTamper && valid) metric = 0;
       body.u32(dst.v);
@@ -211,7 +211,7 @@ void EcmaNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
     if (dst.v >= topo().ad_count()) continue;
     const auto qos = static_cast<Qos>(qos_raw);
     if ((config_.qos_mask & qos_bit(qos)) == 0) continue;
-    if (bound && adv < config_.infinity &&
+    if (bound && adv < kInfinity &&
         !defense_accepts(*bound, from, dst, adv_down_only, adv)) {
       // Provably illegal claim: drop the entry entirely (it must not
       // even feed the help heuristic's view of the neighbor).
@@ -224,10 +224,10 @@ void EcmaNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
     // Up/down rule: reaching `from` over a down link means the remainder
     // must be down-only.
     const bool usable = !from_is_below || adv_down_only;
-    if (!usable || adv >= config_.infinity) continue;
+    if (!usable || adv >= kInfinity) continue;
     const auto metric = static_cast<std::uint16_t>(
-        std::min<std::uint32_t>(adv + 1u, config_.infinity));
-    if (metric >= config_.infinity) continue;
+        std::min<std::uint32_t>(adv + 1u, kInfinity));
+    if (metric >= kInfinity) continue;
     // Our resulting route's shape.
     const bool down_only = from_is_below && adv_down_only;
     if (metric < cand.any.metric) cand.any = Route{metric, from, down_only};
@@ -238,14 +238,14 @@ void EcmaNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
 
   bool changed = false;
   auto apply = [&](Route& slot, const Route& candidate) -> bool {
-    const bool qualifies = candidate.metric < config_.infinity;
-    if (slot.valid(config_.infinity) && slot.via == from) {
+    const bool qualifies = candidate.metric < kInfinity;
+    if (slot.valid() && slot.via == from) {
       // The via is talking (again): any stale-retained entry through it
       // is refreshed, whether or not the metric moved.
       slot.stale = false;
       // Authoritative update from the current next hop.
       const Route revised =
-          qualifies ? candidate : Route{config_.infinity, from, false};
+          qualifies ? candidate : Route{kInfinity, from, false};
       if (revised.metric != slot.metric ||
           revised.down_only != slot.down_only || revised.via != slot.via) {
         slot = revised;
@@ -259,8 +259,7 @@ void EcmaNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
   };
   for (const auto [k, cand] : per_key) {
     Entry& entry = rib_[k];
-    const bool had_route = entry.best.valid(config_.infinity) ||
-                           entry.best_down.valid(config_.infinity);
+    const bool had_route = entry.best.valid() || entry.best_down.valid();
     bool key_changed = apply(entry.best, cand.any);
     key_changed |= apply(entry.best_down, cand.down);
     // First learning a destination is not a flap (RFC 2439 shape): only
@@ -289,7 +288,7 @@ void EcmaNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
     // What `from` could use from us: any shape if they reach us over an
     // up link (we are above them, i.e. from is below), else down-only.
     const Route& offered = from_is_below ? e->best : e->best_down;
-    if (!offered.valid(config_.infinity) || offered.via == from) continue;
+    if (!offered.valid() || offered.via == from) continue;
     // A suppressed key encodes at infinity, so "helping" with it would
     // send nothing usable -- the offer must reflect the encoded view.
     if (damper_.enabled() &&
@@ -320,7 +319,7 @@ void EcmaNode::on_link_change(AdId neighbor, bool up) {
     return;
   }
   const auto via_neighbor = [&](const Route& slot) {
-    return slot.valid(config_.infinity) && slot.via == neighbor &&
+    return slot.valid() && slot.via == neighbor &&
            slot.via != self();
   };
   if (net().in_grace(neighbor)) {
@@ -362,7 +361,7 @@ void EcmaNode::poison(Hit&& hit) {
     bool key_changed = false;
     for (Route* slot : {&entry.best, &entry.best_down}) {
       if (!hit(*slot)) continue;
-      slot->metric = config_.infinity;
+      slot->metric = kInfinity;
       key_changed = true;
     }
     // Poisoned routes were valid by definition, so this is a flap.
@@ -378,7 +377,7 @@ std::optional<EcmaNode::Forwarding> EcmaNode::forward(AdId dst, Qos qos,
   const Entry* e = rib_.find(key(dst, qos));
   if (!e) return std::nullopt;
   const Route& r = gone_down ? e->best_down : e->best;
-  if (!r.valid(config_.infinity) || r.via == self()) return std::nullopt;
+  if (!r.valid() || r.via == self()) return std::nullopt;
   // Traversing a down link sets the packet's gone-down marker.
   const bool link_is_down = neighbor_is_below(r.via);
   return Forwarding{r.via, link_is_down};
@@ -386,7 +385,7 @@ std::optional<EcmaNode::Forwarding> EcmaNode::forward(AdId dst, Qos qos,
 
 std::uint16_t EcmaNode::distance(AdId dst, Qos qos) const {
   const Entry* e = rib_.find(key(dst, qos));
-  if (!e) return config_.infinity;
+  if (!e) return kInfinity;
   return e->best.metric;
 }
 
@@ -394,8 +393,8 @@ std::size_t EcmaNode::fib_entries() const noexcept {
   std::size_t n = 0;
   for (const auto [k, entry] : rib_) {
     (void)k;
-    if (entry.best.valid(config_.infinity)) ++n;
-    if (entry.best_down.valid(config_.infinity)) ++n;
+    if (entry.best.valid()) ++n;
+    if (entry.best_down.valid()) ++n;
   }
   return n;
 }

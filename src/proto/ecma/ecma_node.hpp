@@ -36,7 +36,6 @@ namespace idr {
 // FIB and excluded from re-advertisement -- instead of poisoned, and
 // whatever its resync has not refreshed by grace expiry is poisoned then.
 struct EcmaConfig : PolicyDvConfig {
-  std::uint16_t infinity = 64;
   std::uint8_t qos_mask = kAllQosMask;  // QoS classes this AD supports
   // Destinations this AD will advertise transit for (empty = all).
   std::unordered_set<std::uint32_t> export_dsts;
@@ -83,6 +82,9 @@ class EcmaNode : public PolicyDvNode {
   [[nodiscard]] std::optional<Forwarding> forward(AdId dst, Qos qos,
                                                   bool gone_down) const;
 
+  // Metric of an unreachable (dst, qos); distance() returns it too.
+  static constexpr std::uint16_t kInfinity = 64;
+
   [[nodiscard]] std::uint16_t distance(AdId dst, Qos qos) const;
   [[nodiscard]] std::size_t fib_entries() const noexcept;
   [[nodiscard]] const PartialOrder& order() const noexcept { return *order_; }
@@ -107,9 +109,7 @@ class EcmaNode : public PolicyDvNode {
     // Graceful-restart retention: the via is restarting; keep forwarding
     // over this route but stop advertising it until refreshed or flushed.
     bool stale = false;
-    [[nodiscard]] bool valid(std::uint16_t infinity) const noexcept {
-      return metric < infinity;
-    }
+    [[nodiscard]] bool valid() const noexcept { return metric < kInfinity; }
   };
   struct Entry {
     Route best;       // best valid route of any shape (up*down*)

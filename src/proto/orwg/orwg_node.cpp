@@ -39,6 +39,13 @@ std::vector<AdId> decode_path(wire::Reader& r) {
   return path;
 }
 
+// Payload of each send_flow data packet.
+constexpr std::uint16_t kDefaultPayloadBytes = 512;
+// Setup packets are retransmitted until acked/nakked (they may be lost on
+// the unreliable datagram service), at most kSetupMaxRetries times.
+constexpr double kSetupRetryMs = 400.0;
+constexpr std::uint32_t kSetupMaxRetries = 5;
+
 }  // namespace
 
 void OrwgNode::start() {
@@ -130,10 +137,10 @@ void OrwgNode::transmit_setup(PrHandle handle) {
 }
 
 void OrwgNode::schedule_setup_retry(PrHandle handle) {
-  schedule_guarded(config_.setup_retry_ms, [this, handle] {
+  schedule_guarded(kSetupRetryMs, [this, handle] {
     const auto it = pending_.find(handle.v);
     if (it == pending_.end()) return;  // acked or nakked meanwhile
-    if (++it->second.retries > config_.setup_max_retries) {
+    if (++it->second.retries > kSetupMaxRetries) {
       ++setup_timeouts_;
       gateway_->remove(handle);
       pending_.erase(it);
@@ -270,7 +277,7 @@ void OrwgNode::send_one_data(const std::vector<AdId>& path, PrHandle handle,
 
 void OrwgNode::send_data_packets(const ActivePr& pr, const FlowSpec& flow,
                                  std::uint32_t packets) {
-  const std::vector<std::uint8_t> padding(config_.default_payload_bytes, 0);
+  const std::vector<std::uint8_t> padding(kDefaultPayloadBytes, 0);
   for (std::uint32_t i = 0; i < packets; ++i) {
     send_one_data(pr.path, pr.handle, flow.src, ++data_seq_, padding);
   }

@@ -37,11 +37,6 @@ namespace idr {
 // memoized from the stale snapshot.
 struct OrwgConfig : PolicyLsConfig {
   RouteServerConfig route_server;
-  std::uint16_t default_payload_bytes = 512;
-  // Setup packets are retransmitted until acked/nakked (they may be lost
-  // on the unreliable datagram service).
-  double setup_retry_ms = 400.0;
-  std::uint32_t setup_max_retries = 5;
   // Database distribution strategy (paper §6): 0 floods each LSA in its
   // own message immediately; > 0 batches LSAs accepted within the window
   // into one message per neighbor, trading propagation delay for

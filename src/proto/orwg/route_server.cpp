@@ -6,6 +6,15 @@
 #include "util/check.hpp"
 
 namespace idr {
+namespace {
+
+// Synthesis expansion budgets: a full search per on-demand request, and
+// a pruned one per destination during precomputation (the paper's
+// "heuristics to prune the search").
+constexpr std::uint64_t kOnDemandBudget = 500'000;
+constexpr std::uint64_t kPrecomputeBudget = 25'000;
+
+}  // namespace
 
 bool view_path_is_legal(const SynthesisView& view, const FlowSpec& flow,
                         std::span<const AdId> path,
@@ -76,7 +85,7 @@ std::optional<RouteServer::Result> RouteServer::route(const FlowSpec& flow) {
   ++synth_calls_;
   const LsdbView view(*db_, ad_count_, config_.registry);
   const SynthesisResult result =
-      synthesize_route(view, flow, options(config_.on_demand_budget));
+      synthesize_route(view, flow, options(kOnDemandBudget));
   total_expansions_ += result.expansions;
   if (!result.found()) return std::nullopt;
   cache_[key] = CacheEntry{result.path, result.cost, db_->version()};
@@ -89,7 +98,7 @@ std::optional<RouteServer::Result> RouteServer::route_avoiding(
   IDR_CHECK_MSG(flow.src == self_, "route server serves its own AD only");
   ++synth_calls_;
   const LsdbView view(*db_, ad_count_, config_.registry);
-  SynthesisOptions opt = options(config_.on_demand_budget);
+  SynthesisOptions opt = options(kOnDemandBudget);
   opt.avoid_links.assign(dead_links.begin(), dead_links.end());
   const SynthesisResult result = synthesize_route(view, flow, opt);
   total_expansions_ += result.expansions;
@@ -111,7 +120,7 @@ void RouteServer::precompute(const std::vector<AdId>& dests) {
     if (cache_.contains(key)) continue;
     ++synth_calls_;
     const SynthesisResult result =
-        synthesize_route(view, flow, options(config_.precompute_budget));
+        synthesize_route(view, flow, options(kPrecomputeBudget));
     total_expansions_ += result.expansions;
     if (result.found()) {
       cache_[key] = CacheEntry{result.path, result.cost, db_->version()};

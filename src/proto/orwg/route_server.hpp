@@ -30,10 +30,6 @@ enum class SynthesisStrategy : std::uint8_t {
 
 struct RouteServerConfig {
   SynthesisStrategy strategy = SynthesisStrategy::kOnDemand;
-  std::uint64_t on_demand_budget = 500'000;
-  // Pruned budget per destination during precomputation (the paper's
-  // "heuristics to prune the search").
-  std::uint64_t precompute_budget = 25'000;
   // Registered ground-truth policy (nullptr = trust LSA-advertised
   // terms). The route-leak defense for source-routed designs: routes
   // are synthesized and revalidated against what each AD *registered*,

@@ -15,20 +15,22 @@ const char* to_string(InvariantKind kind) {
   return "?";
 }
 
-std::vector<InvariantFinding> InvariantMonitor::persistent_findings() const {
-  std::vector<InvariantFinding> out;
-  for (const InvariantFinding& f : findings_) {
-    if (f.persistent) out.push_back(f);
-  }
-  return out;
-}
+namespace {
+
+// Seeds of the monitor's per-sweep pair sampling and of the auditor's
+// fixed pair sample.
+constexpr std::uint64_t kMonitorSampleSeed = 0x5eedf00dULL;
+constexpr std::uint64_t kAuditSampleSeed = 0xbadc0de5ULL;
+constexpr SimTime kAuditCadenceMs = 100.0;
+
+}  // namespace
 
 InvariantMonitor::InvariantMonitor(Network& net, InvariantConfig config,
                                    ProbeFn probe)
     : net_(net),
-      config_(config),
+      config_(std::move(config)),
       probe_(std::move(probe)),
-      sample_prng_(config.sample_seed) {
+      sample_prng_(kMonitorSampleSeed) {
   stats_.fault_classes.push_back(FaultClassStats{.name = "fault"});
 }
 
@@ -155,23 +157,6 @@ void InvariantMonitor::sweep() {
   std::uint64_t probes_this_sweep = 0;
   // Each persistent (src, dst, kind) counts once for the run: re-observing
   // the same broken pair on every sweep would make soak logs unbounded.
-  auto record = [&](InvariantKind kind, AdId src, AdId dst,
-                    const Probe& probe, bool persistent) {
-    if (!persistent) {
-      if (!config_.record_transient_findings ||
-          findings_.size() >= config_.max_transient_findings) {
-        return;
-      }
-    }
-    InvariantFinding finding;
-    finding.kind = kind;
-    finding.persistent = persistent;
-    finding.src = src;
-    finding.dst = dst;
-    finding.path = probe.path;
-    finding.at_ms = now;
-    findings_.push_back(std::move(finding));
-  };
   auto persistent_once = [&](AdId src, AdId dst, InvariantKind kind,
                              const Probe& probe, std::uint64_t& counter) {
     const std::uint64_t key = (static_cast<std::uint64_t>(kind) << 56) |
@@ -179,7 +164,9 @@ void InvariantMonitor::sweep() {
                               static_cast<std::uint64_t>(dst.v);
     if (persistent_seen_.insert(key).second) {
       ++counter;
-      record(kind, src, dst, probe, /*persistent=*/true);
+      findings_.push_back(InvariantFinding{
+          .kind = kind, .src = src, .dst = dst, .path = probe.path,
+          .at_ms = now});
     }
   };
   auto classify = [&](AdId src, AdId dst) {
@@ -207,7 +194,6 @@ void InvariantMonitor::sweep() {
                           stats_.persistent_loops);
         } else {
           ++stats_.transient_loops;
-          record(InvariantKind::kLoop, src, dst, probe, false);
         }
         break;
       case ProbeOutcome::kBlackHole:
@@ -218,7 +204,6 @@ void InvariantMonitor::sweep() {
                             stats_.persistent_black_holes);
           } else {
             ++stats_.transient_black_holes;
-            record(InvariantKind::kBlackHole, src, dst, probe, false);
           }
         }
         break;
@@ -230,7 +215,6 @@ void InvariantMonitor::sweep() {
                             stats_.persistent_stale_routes);
           } else {
             ++stats_.transient_stale_routes;
-            record(InvariantKind::kStaleRoute, src, dst, probe, false);
           }
         }
         break;
@@ -243,22 +227,17 @@ void InvariantMonitor::sweep() {
         if (s != d) classify(AdId{s}, AdId{d});
       }
     }
-  } else if (!config_.dst_pool.empty() && !config_.src_pool.empty()) {
-    // Stratified scale sampling: sources from the caller's slice of the
-    // stub population, destinations from the beacon set.
+  } else if (!config_.dst_pool.empty()) {
+    // Scale sampling: destinations from the beacon set, sources from the
+    // caller's slice of the stub population (uniform when it is empty).
     for (std::size_t i = 0; i < config_.sample_pairs; ++i) {
       const AdId s =
-          config_.src_pool[sample_prng_.below(config_.src_pool.size())];
+          config_.src_pool.empty()
+              ? AdId{static_cast<std::uint32_t>(sample_prng_.below(n))}
+              : config_.src_pool[sample_prng_.below(config_.src_pool.size())];
       const AdId d =
           config_.dst_pool[sample_prng_.below(config_.dst_pool.size())];
       if (d != s) classify(s, d);
-    }
-  } else if (!config_.dst_pool.empty()) {
-    for (std::size_t i = 0; i < config_.sample_pairs; ++i) {
-      const auto s = static_cast<std::uint32_t>(sample_prng_.below(n));
-      const AdId d =
-          config_.dst_pool[sample_prng_.below(config_.dst_pool.size())];
-      if (d.v != s) classify(AdId{s}, d);
     }
   } else {
     for (std::size_t i = 0; i < config_.sample_pairs; ++i) {
@@ -320,7 +299,7 @@ void PolicyComplianceAuditor::choose_pairs() {
     }
     return;
   }
-  Prng prng(config_.sample_seed);
+  Prng prng(kAuditSampleSeed);
   std::unordered_set<std::uint64_t> chosen;
   while (pairs_.size() < config_.sample_pairs) {
     const AdId s = honest[prng.below(h)];
@@ -343,7 +322,7 @@ void PolicyComplianceAuditor::schedule_next() {
   // Sweeps only run from misbehavior onset: before it everyone is honest
   // and the InvariantMonitor already covers plain availability.
   const SimTime base = std::max(net_.engine().now(), config_.onset_ms);
-  const SimTime next = base + config_.cadence_ms;
+  const SimTime next = base + kAuditCadenceMs;
   if (next > until_ms_) return;
   net_.engine().at(next, [this] {
     sweep();

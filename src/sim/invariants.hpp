@@ -59,13 +59,13 @@ enum class InvariantKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(InvariantKind kind);
 
-// A structured violation record: the offending pair plus the forwarding
-// walk that exhibited it, so shrinkers and tests can key on (kind, src,
-// dst, path) instead of parsing log strings. Persistent findings are
-// deduplicated exactly like the persistent counters.
+// A structured record of one persistent violation: the offending pair
+// plus the forwarding walk that exhibited it, so shrinkers and tests can
+// key on (kind, src, dst, path) instead of parsing log strings. Findings
+// are deduplicated exactly like the persistent counters; transient
+// violations are counted, not recorded.
 struct InvariantFinding {
   InvariantKind kind = InvariantKind::kLoop;
-  bool persistent = false;
   AdId src;
   AdId dst;
   std::vector<AdId> path;  // hops the probe walked, starting at src
@@ -76,9 +76,9 @@ struct InvariantConfig {
   SimTime cadence_ms = 50.0;
   // Violations within this window after the latest fault are transient.
   SimTime reconverge_window_ms = 500.0;
-  // (src, dst) pairs sampled per sweep; 0 = probe every ordered pair.
+  // (src, dst) pairs sampled per sweep (from a fixed seed); 0 = probe
+  // every ordered pair.
   std::size_t sample_pairs = 64;
-  std::uint64_t sample_seed = 0x5eedf00dULL;
   // When non-empty, sampled destinations are drawn from this pool instead
   // of the whole AD space (paper scale: only beacon ADs are originated
   // destinations, so probing arbitrary dsts would report vacuous
@@ -89,11 +89,6 @@ struct InvariantConfig {
   // stratified slice of the stub population so every region of the
   // hierarchy is probed at every sweep.
   std::vector<AdId> src_pool{};
-  // Also keep InvariantFinding records for transient violations (capped
-  // at max_transient_findings). Persistent findings are always recorded
-  // (they are deduped, so bounded by pairs x kinds).
-  bool record_transient_findings = false;
-  std::size_t max_transient_findings = 256;
 };
 
 // Per-failure-class accounting: each registered class gets its own
@@ -195,16 +190,13 @@ class InvariantMonitor {
     return awaiting_clean_sweep_;
   }
 
-  // Structured violation records (persistent ones always; transient ones
-  // when configured). Ordered by observation time.
-  [[nodiscard]] const std::vector<InvariantFinding>& findings()
+  // Persistent violation records (the ones that outlived the
+  // reconvergence window), ordered by observation time -- what shrinker
+  // predicates and test assertions key on.
+  [[nodiscard]] const std::vector<InvariantFinding>& persistent_findings()
       const noexcept {
     return findings_;
   }
-
-  // Persistent findings only (the ones that outlived the reconvergence
-  // window) -- what shrinker predicates and test assertions key on.
-  [[nodiscard]] std::vector<InvariantFinding> persistent_findings() const;
 
  private:
   [[nodiscard]] bool default_reachable(AdId src, AdId dst) const;
@@ -252,12 +244,11 @@ class InvariantMonitor {
 // misbehavior onset to the start of the clean suffix of sweeps (0 if
 // never polluted, -1 if still polluted at the end -- not contained).
 
+// Sweeps run every 100 ms; the pair sample comes from a fixed seed.
 struct AuditConfig {
-  SimTime cadence_ms = 100.0;
   SimTime onset_ms = 0.0;  // audit sweeps begin after misbehavior onset
   // Honest (src, dst) pairs sampled (fixed at start); 0 = every pair.
   std::size_t sample_pairs = 48;
-  std::uint64_t sample_seed = 0xbadc0de5ULL;
 };
 
 struct AuditStats {

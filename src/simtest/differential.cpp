@@ -1,7 +1,6 @@
 #include "simtest/differential.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -37,6 +36,12 @@ std::vector<std::string> DiffResult::signatures() const {
 }
 
 namespace {
+
+// Ground-truth search budget per flow (tri-state: exhaustion reports the
+// flow as unknown rather than guessing).
+constexpr std::uint64_t kOracleBudget = 2'000'000;
+// Invariant-monitor sweep cadence during the run.
+constexpr SimTime kMonitorCadenceMs = 100.0;
 
 // Endpoint the conformance claims do not cover: dead, quarantined or
 // misbehaving ADs get no availability guarantees.
@@ -90,14 +95,13 @@ bool transit_legal(const Topology& topo, const PolicySet& policies,
 // quarantined / traffic-dropping ADs, exactly what a correct protocol
 // could still have converged to.
 RouteExistence flow_truth(const Network& net, const Topology& topo,
-                          const PolicySet& policies, const FlowSpec& flow,
-                          std::uint64_t budget) {
+                          const PolicySet& policies, const FlowSpec& flow) {
   const SourcePolicy& sp = policies.source_policy(flow.src);
   SynthesisOptions options;
   options.max_hops = sp.max_hops;
   options.avoid = sp.avoid;
   options.first_found = true;
-  options.expansion_budget = budget;
+  options.expansion_budget = kOracleBudget;
   for (const Ad& ad : topo.ads()) {
     if (ad.id == flow.src || ad.id == flow.dst) continue;
     if (!net.alive(ad.id) || net.is_quarantined(ad.id) ||
@@ -201,17 +205,13 @@ ArchRunOutput run_one(const std::string& arch, const SimCase& c,
   }
   InvariantMonitor::ProbeFn pair_probe = make_pair_probe(flow_probe);
 
-  std::unique_ptr<InvariantMonitor> monitor;
-  if (options.monitor_cadence_ms > 0.0) {
-    InvariantConfig mon_config;
-    mon_config.cadence_ms = options.monitor_cadence_ms;
-    monitor = std::make_unique<InvariantMonitor>(net, mon_config, pair_probe);
-    monitor->set_reachable_fn(
-        make_design_reachable(arch, net, topo, policies, &order));
-    net.set_churn_observer(
-        [&m = *monitor](Network::ChurnKind) { m.note_fault(); });
-    monitor->start(c.horizon_ms);
-  }
+  InvariantMonitor monitor(net, {.cadence_ms = kMonitorCadenceMs},
+                           pair_probe);
+  monitor.set_reachable_fn(
+      make_design_reachable(arch, net, topo, policies, &order));
+  net.set_churn_observer(
+      [&monitor](Network::ChurnKind) { monitor.note_fault(); });
+  monitor.start(c.horizon_ms);
 
   // --- scripted schedule ------------------------------------------------
   FailureInjector injector(net);
@@ -251,14 +251,12 @@ ArchRunOutput run_one(const std::string& arch, const SimCase& c,
     net.set_misbehavior(spec);
     // Onset and containment both perturb the world: give the monitor its
     // reconvergence grace window around each.
-    engine.at(spec.start_ms, [&] {
-      if (monitor) monitor->note_fault();
-    });
-    engine.at(spec.start_ms + c.detection_delay_ms, [&net, ad = spec.ad,
-                                                     &monitor] {
-      net.quarantine(ad);
-      if (monitor) monitor->note_fault();
-    });
+    engine.at(spec.start_ms, [&monitor] { monitor.note_fault(); });
+    engine.at(spec.start_ms + c.detection_delay_ms,
+              [&net, ad = spec.ad, &monitor] {
+                net.quarantine(ad);
+                monitor.note_fault();
+              });
   }
 
   engine.run_until(c.horizon_ms);
@@ -333,8 +331,7 @@ ArchRunOutput run_one(const std::string& arch, const SimCase& c,
             // Not ECMA-expressible; does a Policy-Term route exist that
             // ECMA cannot represent (expressiveness gap), or is the pair
             // genuinely partitioned?
-            switch (flow_truth(net, topo, policies, flow,
-                               options.oracle_budget)) {
+            switch (flow_truth(net, topo, policies, flow)) {
               case RouteExistence::kExists:
                 ++out.result.expected_divergences;
                 break;
@@ -348,7 +345,7 @@ ArchRunOutput run_one(const std::string& arch, const SimCase& c,
           }
           break;
         }
-        switch (flow_truth(net, topo, policies, flow, options.oracle_budget)) {
+        switch (flow_truth(net, topo, policies, flow)) {
           case RouteExistence::kNone:
             ++out.result.agreed_no_route;
             break;
@@ -373,43 +370,40 @@ ArchRunOutput run_one(const std::string& arch, const SimCase& c,
   }
 
   // --- persistent mid-run findings from the invariant monitor -----------
-  if (monitor) {
-    out.result.invariants = monitor->stats();
-    for (const InvariantFinding& f : monitor->persistent_findings()) {
-      FlowSpec flow;  // monitor probes run at the default traffic class
-      flow.src = f.src;
-      flow.dst = f.dst;
-      switch (f.kind) {
-        case InvariantKind::kLoop:
-          add_violation(DiffViolation::kLoop, flow, f.path,
-                        "persistent loop during the run");
-          break;
-        case InvariantKind::kStaleRoute:
-          add_violation(DiffViolation::kStaleRoute, flow, f.path,
-                        "persistent stale route during the run");
-          break;
-        case InvariantKind::kBlackHole:
-          // Availability mid-run is only a hard claim for the designs
-          // held to completeness; for them, confirm against the final
-          // state before calling it genuine (later churn may have
-          // removed the route again).
-          if (arch == "ecma") {
-            if (ecma_reachable(net, topo, order.order, f.src, f.dst)) {
-              add_violation(DiffViolation::kBlackHole, flow, f.path,
-                            "persistent black hole during the run");
-            }
-          } else if (arch == "orwg") {
-            if (flow_truth(net, topo, policies, flow,
-                           options.oracle_budget) ==
-                RouteExistence::kExists) {
-              add_violation(DiffViolation::kBlackHole, flow, f.path,
-                            "persistent black hole during the run");
-            }
-          } else {
-            ++out.result.expected_divergences;  // HbH miss
+  out.result.invariants = monitor.stats();
+  for (const InvariantFinding& f : monitor.persistent_findings()) {
+    FlowSpec flow;  // monitor probes run at the default traffic class
+    flow.src = f.src;
+    flow.dst = f.dst;
+    switch (f.kind) {
+      case InvariantKind::kLoop:
+        add_violation(DiffViolation::kLoop, flow, f.path,
+                      "persistent loop during the run");
+        break;
+      case InvariantKind::kStaleRoute:
+        add_violation(DiffViolation::kStaleRoute, flow, f.path,
+                      "persistent stale route during the run");
+        break;
+      case InvariantKind::kBlackHole:
+        // Availability mid-run is only a hard claim for the designs
+        // held to completeness; for them, confirm against the final
+        // state before calling it genuine (later churn may have
+        // removed the route again).
+        if (arch == "ecma") {
+          if (ecma_reachable(net, topo, order.order, f.src, f.dst)) {
+            add_violation(DiffViolation::kBlackHole, flow, f.path,
+                          "persistent black hole during the run");
           }
-          break;
-      }
+        } else if (arch == "orwg") {
+          if (flow_truth(net, topo, policies, flow) ==
+              RouteExistence::kExists) {
+            add_violation(DiffViolation::kBlackHole, flow, f.path,
+                          "persistent black hole during the run");
+          }
+        } else {
+          ++out.result.expected_divergences;  // HbH miss
+        }
+        break;
     }
   }
 

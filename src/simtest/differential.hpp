@@ -78,11 +78,6 @@ struct DiffOptions {
   // Execute every (case, arch) twice and flag any difference in
   // fingerprint, event count or per-flow outcome as nondeterminism.
   bool check_determinism = true;
-  // Ground-truth search budget per flow (tri-state: exhaustion reports
-  // the flow as unknown rather than guessing).
-  std::uint64_t oracle_budget = 2'000'000;
-  // Invariant-monitor cadence during the run; 0 disables mid-run sweeps.
-  SimTime monitor_cadence_ms = 100.0;
   // Testing the tester: make the LS-HbH probe ignore the flow's traffic
   // class (queries the default-class FIB for every flow), a seeded
   // known-bad defect the shrinker acceptance tests minimize.

@@ -10,6 +10,30 @@
 #include "util/prng.hpp"
 
 namespace idr {
+namespace {
+
+// Policy mix (fed to make_restricted_policies).
+constexpr double kRestrictProb = 0.3;
+constexpr double kSourceSelectivity = 0.6;
+constexpr double kAvoidFraction = 0.15;
+constexpr double kAupProb = 0.25;  // research-only AUP on the first backbone
+
+// Schedule shape: events land in [0.1, kChurnFraction] * horizon.
+constexpr double kChurnFraction = 0.5;
+constexpr std::uint32_t kMaxLinkEvents = 4;
+constexpr std::uint32_t kMaxCrashEvents = 2;
+// Chance of one link-flap storm (a link cycling down/up several times in
+// quick succession -- the schedule shape route-flap damping exists for),
+// drawn from its own splitmix64 stream like the restart storm.
+constexpr double kFlapStormProb = 0.2;
+constexpr std::uint32_t kMaxFlapCycles = 4;     // 2..max cycles per storm
+constexpr std::uint32_t kMaxRestartCycles = 3;  // 2..max cycles per storm
+
+// Message-fault intensity ceilings (rates drawn uniformly below these).
+constexpr double kMaxDuplicateRate = 0.02;
+constexpr double kMaxReorderRate = 0.05;
+
+}  // namespace
 
 SimCase generate_sim_case(const SimCaseParams& params) {
   SimCase c;
@@ -39,11 +63,11 @@ SimCase generate_sim_case(const SimCaseParams& params) {
   // --- policies ---------------------------------------------------------
   Prng policy_prng(splitmix64(policy_state));
   RestrictionParams restrict;
-  restrict.restrict_prob = params.restrict_prob;
-  restrict.source_selectivity = params.source_selectivity;
+  restrict.restrict_prob = kRestrictProb;
+  restrict.source_selectivity = kSourceSelectivity;
   c.policies = make_restricted_policies(
       c.topo, make_provider_customer_policies(c.topo), restrict, policy_prng);
-  if (policy_prng.bernoulli(params.aup_prob)) {
+  if (policy_prng.bernoulli(kAupProb)) {
     for (const Ad& ad : c.topo.ads()) {
       if (ad.cls == AdClass::kBackbone) {
         apply_aup(c.policies, ad.id);
@@ -51,7 +75,7 @@ SimCase generate_sim_case(const SimCaseParams& params) {
       }
     }
   }
-  add_source_avoidance(c.topo, c.policies, params.avoid_fraction, policy_prng);
+  add_source_avoidance(c.topo, c.policies, kAvoidFraction, policy_prng);
 
   // --- flows ------------------------------------------------------------
   Prng flow_prng(splitmix64(flow_state));
@@ -59,22 +83,19 @@ SimCase generate_sim_case(const SimCaseParams& params) {
 
   // --- message-fault intensity ------------------------------------------
   Prng fault_prng(splitmix64(fault_state));
-  c.duplicate_rate = fault_prng.uniform01() * params.max_duplicate_rate;
-  c.reorder_rate = fault_prng.uniform01() * params.max_reorder_rate;
+  c.duplicate_rate = fault_prng.uniform01() * kMaxDuplicateRate;
+  c.reorder_rate = fault_prng.uniform01() * kMaxReorderRate;
 
   // --- scripted schedule ------------------------------------------------
   Prng sched_prng(splitmix64(sched_state));
   const SimTime churn_begin = 0.1 * params.horizon_ms;
-  const SimTime churn_end = params.churn_fraction * params.horizon_ms;
+  const SimTime churn_end = kChurnFraction * params.horizon_ms;
   auto churn_time = [&] {
     return churn_begin + sched_prng.uniform01() * (churn_end - churn_begin);
   };
 
-  const std::uint32_t link_events =
-      params.max_link_events == 0
-          ? 0
-          : static_cast<std::uint32_t>(
-                sched_prng.below(params.max_link_events + 1));
+  const auto link_events =
+      static_cast<std::uint32_t>(sched_prng.below(kMaxLinkEvents + 1));
   for (std::uint32_t i = 0; i < link_events && c.topo.link_count() > 0; ++i) {
     const Link& link =
         c.topo.links()[sched_prng.below(c.topo.link_count())];
@@ -90,11 +111,8 @@ SimCase generate_sim_case(const SimCaseParams& params) {
     c.events.push_back(e);
   }
 
-  const std::uint32_t crash_events =
-      params.max_crash_events == 0
-          ? 0
-          : static_cast<std::uint32_t>(
-                sched_prng.below(params.max_crash_events + 1));
+  const auto crash_events =
+      static_cast<std::uint32_t>(sched_prng.below(kMaxCrashEvents + 1));
   for (std::uint32_t i = 0; i < crash_events; ++i) {
     SimEvent e;
     e.kind = SimEvent::Kind::kCrash;
@@ -138,8 +156,7 @@ SimCase generate_sim_case(const SimCaseParams& params) {
 
   // --- link-flap storm --------------------------------------------------
   Prng flap_prng(splitmix64(flap_state));
-  if (flap_prng.bernoulli(params.flap_storm_prob) &&
-      c.topo.link_count() > 0) {
+  if (flap_prng.bernoulli(kFlapStormProb) && c.topo.link_count() > 0) {
     const Link& link =
         c.topo.links()[flap_prng.below(c.topo.link_count())];
     SimEvent e;
@@ -151,9 +168,8 @@ SimCase generate_sim_case(const SimCaseParams& params) {
     // Period comfortably above the keepalive detection floor, cycle count
     // small enough that the storm ends inside the churn window.
     e.period_ms = 150.0 + flap_prng.uniform01() * 150.0;
-    const std::uint32_t span_cycles =
-        params.max_flap_cycles > 2 ? params.max_flap_cycles - 1 : 1;
-    e.cycles = 2 + static_cast<std::uint32_t>(flap_prng.below(span_cycles));
+    e.cycles =
+        2 + static_cast<std::uint32_t>(flap_prng.below(kMaxFlapCycles - 1));
     c.events.push_back(e);
   }
 
@@ -177,10 +193,8 @@ SimCase generate_sim_case(const SimCaseParams& params) {
     // Down phase (half the period) long enough for keepalive detection,
     // cycle count small enough that the storm ends inside churn.
     e.period_ms = 300.0 + restart_prng.uniform01() * 300.0;
-    const std::uint32_t span_cycles =
-        params.max_restart_cycles > 2 ? params.max_restart_cycles - 1 : 1;
-    e.cycles =
-        2 + static_cast<std::uint32_t>(restart_prng.below(span_cycles));
+    e.cycles = 2 + static_cast<std::uint32_t>(
+                       restart_prng.below(kMaxRestartCycles - 1));
     c.events.push_back(e);
   }
 

@@ -12,6 +12,8 @@
 
 namespace idr {
 
+// What callers vary; the policy mix, the schedule's shape and the
+// message-fault ceilings are constants in scenario_generator.cpp.
 struct SimCaseParams {
   std::uint64_t seed = 1;
 
@@ -19,38 +21,19 @@ struct SimCaseParams {
   std::uint32_t min_ads = 10;
   std::uint32_t max_ads = 28;
 
-  // Policy mix knobs (fed to make_restricted_policies).
-  double restrict_prob = 0.3;
-  double source_selectivity = 0.6;
-  double avoid_fraction = 0.15;
-  double aup_prob = 0.25;  // research-only AUP on the first backbone
-
   // Flow sample size.
   std::size_t flow_count = 24;
 
-  // Schedule shape. Events land in [0.1, churn_fraction] * horizon so a
-  // quiet tail remains for reconvergence before outcomes are read.
+  // Scripted events land in [0.1, 0.5] * horizon so a quiet tail remains
+  // for reconvergence before outcomes are read.
   SimTime horizon_ms = 4000.0;
-  double churn_fraction = 0.5;
-  std::uint32_t max_link_events = 4;
-  std::uint32_t max_crash_events = 2;
   double permanent_failure_prob = 0.3;  // link-down with no repair
   double byzantine_prob = 0.25;         // chance of one Byzantine AD
-  // Chance of one link-flap storm (a link cycling down/up several times
-  // in quick succession -- the schedule shape route-flap damping exists
-  // for). Drawn from its own splitmix64 stream, so flipping this knob
-  // never reshuffles the other schedule dimensions of an existing seed.
-  double flap_storm_prob = 0.2;
-  std::uint32_t max_flap_cycles = 4;  // 2..max cycles per storm
   // Chance of one restart storm (an AD crash/restarting several times in
-  // quick succession -- the graceful-restart schedule shape). Also drawn
-  // from its own splitmix64 stream for the same reason.
+  // quick succession -- the graceful-restart schedule shape). Drawn from
+  // its own splitmix64 stream, so changing it never reshuffles the other
+  // schedule dimensions of an existing seed.
   double restart_storm_prob = 0.2;
-  std::uint32_t max_restart_cycles = 3;  // 2..max cycles per storm
-
-  // Message-fault intensity ceilings (rates drawn uniformly below these).
-  double max_duplicate_rate = 0.02;
-  double max_reorder_rate = 0.05;
 };
 
 // Deterministic in params (pure function of the seed and knobs).

@@ -6,6 +6,9 @@
 namespace idr {
 namespace {
 
+constexpr std::size_t kMaxChecks = 400;
+constexpr SimTime kMinHorizonMs = 500.0;
+
 // Zeller's ddmin, minimizing a list while `fails(subset)` keeps holding.
 // `check` is the budget-counted predicate over candidate item subsets.
 template <typename T>
@@ -84,20 +87,19 @@ FailurePredicate signature_predicate(std::vector<std::string> signatures,
 }
 
 ShrinkResult shrink_sim_case(const SimCase& failing,
-                             const FailurePredicate& fails,
-                             const ShrinkOptions& options) {
+                             const FailurePredicate& fails) {
   ShrinkResult result;
   result.minimized = failing;
   SimCase& best = result.minimized;
 
   auto check = [&](const SimCase& candidate) {
-    if (result.checks >= options.max_checks) return false;
+    if (result.checks >= kMaxChecks) return false;
     ++result.checks;
     return fails(candidate);
   };
 
   bool progress = true;
-  while (progress && result.checks < options.max_checks) {
+  while (progress && result.checks < kMaxChecks) {
     progress = false;
     ++result.rounds;
 
@@ -145,7 +147,7 @@ ShrinkResult shrink_sim_case(const SimCase& failing,
 
     // 4. Links (greedy, highest id first so indices stay stable).
     for (std::size_t i = best.topo.link_count(); i-- > 0;) {
-      if (result.checks >= options.max_checks) break;
+      if (result.checks >= kMaxChecks) break;
       const Link& link = best.topo.links()[i];
       SimCase candidate = remove_link(best, link.a, link.b);
       if (check(candidate)) {
@@ -159,10 +161,10 @@ ShrinkResult shrink_sim_case(const SimCase& failing,
     {
       bool removed = true;
       while (removed && best.topo.ad_count() > 2 &&
-             result.checks < options.max_checks) {
+             result.checks < kMaxChecks) {
         removed = false;
         for (std::size_t i = best.topo.ad_count(); i-- > 0;) {
-          if (result.checks >= options.max_checks) break;
+          if (result.checks >= kMaxChecks) break;
           SimCase candidate =
               remove_ad(best, AdId{static_cast<std::uint32_t>(i)});
           if (check(candidate)) {
@@ -176,17 +178,13 @@ ShrinkResult shrink_sim_case(const SimCase& failing,
     }
 
     // 6. Horizon.
-    if (options.shrink_horizon) {
-      while (best.horizon_ms > options.min_horizon_ms &&
-             result.checks < options.max_checks) {
-        SimCase candidate = best;
-        candidate.horizon_ms =
-            std::max(options.min_horizon_ms, best.horizon_ms * 0.7);
-        if (candidate.horizon_ms >= best.horizon_ms) break;
-        if (!check(candidate)) break;
-        best = std::move(candidate);
-        progress = true;
-      }
+    while (best.horizon_ms > kMinHorizonMs && result.checks < kMaxChecks) {
+      SimCase candidate = best;
+      candidate.horizon_ms = std::max(kMinHorizonMs, best.horizon_ms * 0.7);
+      if (candidate.horizon_ms >= best.horizon_ms) break;
+      if (!check(candidate)) break;
+      best = std::move(candidate);
+      progress = true;
     }
   }
   return result;

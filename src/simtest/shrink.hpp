@@ -7,7 +7,7 @@
 //   * probed flows (ddmin),
 //   * policy terms (ddmin over the flattened database),
 //   * links, then whole ADs (greedy structural removal with id remap),
-//   * the time horizon (geometric shortening).
+//   * the time horizon (geometric shortening, down to 500 ms).
 //
 // The passes repeat to a fixpoint, so a 60-AD soak failure comes back as
 // a handful of ADs and events -- small enough to read, check into
@@ -26,23 +26,16 @@ namespace idr {
 
 using FailurePredicate = std::function<bool(const SimCase&)>;
 
-struct ShrinkOptions {
-  // Hard budget on predicate evaluations (each one is a differential
-  // run); the shrinker returns its best-so-far when exhausted.
-  std::size_t max_checks = 400;
-  bool shrink_horizon = true;
-  SimTime min_horizon_ms = 500.0;
-};
-
 struct ShrinkResult {
   SimCase minimized;
   std::size_t checks = 0;  // predicate evaluations spent
   std::size_t rounds = 0;  // full fixpoint rounds completed
 };
 
+// Spends at most 400 predicate evaluations (each one is a differential
+// run) and returns its best-so-far when they run out.
 ShrinkResult shrink_sim_case(const SimCase& failing,
-                             const FailurePredicate& fails,
-                             const ShrinkOptions& options = {});
+                             const FailurePredicate& fails);
 
 // Canonical predicate: the given violation signatures ("arch:kind", as
 // produced by DiffResult::signatures()) all still reproduce. Signatures

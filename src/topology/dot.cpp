@@ -54,7 +54,6 @@ std::string to_dot(const Topology& topo, const DotOptions& options) {
     out += "];\n";
   }
   for (const Link& l : topo.links()) {
-    if (!l.up && !options.show_down_links) continue;
     out += "  n" + std::to_string(l.a.v) + " -- n" + std::to_string(l.b.v) +
            " [";
     if (!l.up) {

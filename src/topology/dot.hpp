@@ -13,9 +13,9 @@ namespace idr {
 struct DotOptions {
   // ADs on this path get a bold outline; its links are colored.
   std::span<const AdId> highlight_path;
-  bool show_down_links = true;  // render down links dashed gray
 };
 
+// Down links are drawn dashed gray.
 std::string to_dot(const Topology& topo, const DotOptions& options = {});
 
 }  // namespace idr

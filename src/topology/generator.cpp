@@ -10,6 +10,14 @@
 namespace idr {
 namespace {
 
+// Every backbone pair the ring leaves unlinked is linked with this
+// probability.
+constexpr double kBackboneMeshProb = 1.0;
+// Link delay bases (ms) by level; jitter() randomizes each +/- 50%.
+constexpr double kBackboneDelayMs = 20.0;
+constexpr double kRegionalDelayMs = 8.0;
+constexpr double kCampusDelayMs = 2.0;
+
 double jitter(double base, Prng& prng) {
   return base * prng.uniform_real(0.5, 1.5);
 }
@@ -27,22 +35,22 @@ Topology generate_topology(const GeneratorParams& params, Prng& prng) {
   for (std::uint32_t i = 0; i < params.backbones; ++i) {
     backbones.push_back(topo.add_ad(AdClass::kBackbone, AdRole::kTransit));
   }
-  // Ring guarantees a connected core even with mesh_prob = 0.
+  // Ring guarantees a connected core even with kBackboneMeshProb = 0.
   for (std::uint32_t i = 1; i < params.backbones; ++i) {
     topo.add_link(backbones[i - 1], backbones[i], LinkClass::kHierarchical,
-                  jitter(params.backbone_delay_ms, prng));
+                  jitter(kBackboneDelayMs, prng));
   }
   if (params.backbones > 2) {
     topo.add_link(backbones.back(), backbones.front(),
                   LinkClass::kHierarchical,
-                  jitter(params.backbone_delay_ms, prng));
+                  jitter(kBackboneDelayMs, prng));
   }
   for (std::uint32_t i = 0; i < params.backbones; ++i) {
     for (std::uint32_t j = i + 1; j < params.backbones; ++j) {
       if (topo.find_link(backbones[i], backbones[j])) continue;
-      if (prng.bernoulli(params.backbone_mesh_prob)) {
+      if (prng.bernoulli(kBackboneMeshProb)) {
         topo.add_link(backbones[i], backbones[j], LinkClass::kHierarchical,
-                      jitter(params.backbone_delay_ms, prng));
+                      jitter(kBackboneDelayMs, prng));
       }
     }
   }
@@ -53,7 +61,7 @@ Topology generate_topology(const GeneratorParams& params, Prng& prng) {
     for (std::uint32_t r = 0; r < params.regionals_per_backbone; ++r) {
       const AdId reg = topo.add_ad(AdClass::kRegional, AdRole::kTransit);
       topo.add_link(bb, reg, LinkClass::kHierarchical,
-                    jitter(params.regional_delay_ms, prng));
+                    jitter(kRegionalDelayMs, prng));
       regionals.push_back(reg);
     }
   }
@@ -65,7 +73,7 @@ Topology generate_topology(const GeneratorParams& params, Prng& prng) {
       for (std::uint32_t m = 0; m < params.metros_per_regional; ++m) {
         const AdId metro = topo.add_ad(AdClass::kMetro, AdRole::kTransit);
         topo.add_link(reg, metro, LinkClass::kHierarchical,
-                      jitter(params.regional_delay_ms, prng));
+                      jitter(kRegionalDelayMs, prng));
         campus_parents.push_back(metro);
       }
     }
@@ -81,7 +89,7 @@ Topology generate_topology(const GeneratorParams& params, Prng& prng) {
       if (prng.bernoulli(params.hybrid_prob)) role = AdRole::kHybrid;
       const AdId campus = topo.add_ad(AdClass::kCampus, role);
       topo.add_link(parent, campus, LinkClass::kHierarchical,
-                    jitter(params.campus_delay_ms, prng));
+                    jitter(kCampusDelayMs, prng));
       campuses.push_back(campus);
     }
   }
@@ -94,7 +102,7 @@ Topology generate_topology(const GeneratorParams& params, Prng& prng) {
       const AdId parent = prng.pick(campus_parents);
       if (topo.find_link(campus, parent)) continue;
       topo.add_link(campus, parent, LinkClass::kHierarchical,
-                    jitter(params.campus_delay_ms, prng));
+                    jitter(kCampusDelayMs, prng));
       if (topo.ad(campus).role == AdRole::kStub) {
         topo.ad(campus).role = AdRole::kMultiHomed;
       }
@@ -108,7 +116,7 @@ Topology generate_topology(const GeneratorParams& params, Prng& prng) {
       if (topo.find_link(regionals[i], regionals[j])) continue;
       if (prng.bernoulli(params.lateral_regional_prob)) {
         topo.add_link(regionals[i], regionals[j], LinkClass::kLateral,
-                      jitter(params.regional_delay_ms, prng));
+                      jitter(kRegionalDelayMs, prng));
       }
     }
   }
@@ -123,7 +131,7 @@ Topology generate_topology(const GeneratorParams& params, Prng& prng) {
         const AdId y = prng.pick(campuses);
         if (x == y || topo.find_link(x, y)) continue;
         topo.add_link(x, y, LinkClass::kLateral,
-                      jitter(params.campus_delay_ms, prng));
+                      jitter(kCampusDelayMs, prng));
         break;
       }
     }
@@ -135,7 +143,7 @@ Topology generate_topology(const GeneratorParams& params, Prng& prng) {
     const AdId bb = prng.pick(backbones);
     if (topo.find_link(campus, bb)) continue;
     topo.add_link(campus, bb, LinkClass::kBypass,
-                  jitter(params.regional_delay_ms, prng));
+                  jitter(kRegionalDelayMs, prng));
   }
 
   IDR_CHECK_MSG(is_connected(topo), "generator must produce connected graph");

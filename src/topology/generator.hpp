@@ -13,16 +13,14 @@
 
 namespace idr {
 
+// The backbone core is a full mesh, and link delays are per-level bases
+// randomized +/- 50%: both fixed in generator.cpp.
 struct GeneratorParams {
   // Hierarchy shape.
   std::uint32_t backbones = 2;
   std::uint32_t regionals_per_backbone = 4;
   std::uint32_t metros_per_regional = 0;   // 0: campuses attach to regionals
   std::uint32_t campuses_per_parent = 4;   // per regional (or per metro)
-
-  // Backbone core connectivity: every backbone pair linked with this
-  // probability (plus a ring to guarantee core connectivity).
-  double backbone_mesh_prob = 1.0;
 
   // Non-hierarchical augmentation (paper Figure 1).
   double lateral_regional_prob = 0.15;  // regional-to-regional shortcut
@@ -33,11 +31,6 @@ struct GeneratorParams {
   // and fraction of campuses that are hybrid (carry limited transit).
   double multihome_prob = 0.1;
   double hybrid_prob = 0.05;
-
-  // Link delays (ms) by level, randomized +/- 50%.
-  double backbone_delay_ms = 20.0;
-  double regional_delay_ms = 8.0;
-  double campus_delay_ms = 2.0;
 
   [[nodiscard]] std::uint32_t total_ads() const noexcept {
     const std::uint32_t metros =

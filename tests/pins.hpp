@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
+#include <string_view>
 
 namespace idr {
 
@@ -41,6 +43,40 @@ struct ReplayPin {
 inline std::ostream& operator<<(std::ostream& os, const ReplayPin& pin) {
   return os << "{0x" << std::hex << pin.fingerprint << std::dec << "ull, "
             << pin.events << "}";
+}
+
+// A 64-bit digest of some text (FNV-1a), printed as a hex literal.
+struct HashPin {
+  std::uint64_t hash = 0;
+  friend bool operator==(const HashPin&, const HashPin&) = default;
+};
+
+inline std::ostream& operator<<(std::ostream& os, const HashPin& pin) {
+  return os << "0x" << std::hex << pin.hash << std::dec << "ull";
+}
+
+inline HashPin fnv1a(std::string_view text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return {h};
+}
+
+// One shrinker run: the minimized case's size and the work it took.
+struct ShrinkPin {
+  std::size_t ads = 0;
+  std::size_t flows = 0;
+  std::size_t events = 0;
+  std::size_t checks = 0;
+  std::size_t rounds = 0;
+  friend bool operator==(const ShrinkPin&, const ShrinkPin&) = default;
+};
+
+inline std::ostream& operator<<(std::ostream& os, const ShrinkPin& pin) {
+  return os << "{" << pin.ads << ", " << pin.flows << ", " << pin.events
+            << ", " << pin.checks << ", " << pin.rounds << "}";
 }
 
 // Works for ChaosResult and ScaleChaosResult alike.

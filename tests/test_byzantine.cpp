@@ -190,8 +190,8 @@ TEST(ByzantineChaos, ByzantineScheduleIsIndependentOfChurnStreams) {
   plain.seed = 3;
   plain.horizon_ms = 4'000.0;
   ChaosParams with_knobs = plain;
-  with_knobs.byzantine.detection_delay_ms = 123.0;
-  with_knobs.byzantine.onset_ms = 456.0;  // count stays 0
+  with_knobs.byzantine.defended = true;
+  with_knobs.byzantine.kinds = {Misbehavior::kRouteLeak};  // count stays 0
   const ChaosResult a = run_chaos("ecma", plain);
   const ChaosResult b = run_chaos("ecma", with_knobs);
   EXPECT_EQ(a.counter_fingerprint, b.counter_fingerprint);

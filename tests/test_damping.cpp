@@ -25,11 +25,7 @@ namespace {
 DampingConfig test_config() {
   DampingConfig config;
   config.enabled = true;
-  config.penalty_per_flap = 1'000.0;
   config.half_life_ms = 500.0;
-  config.suppress_threshold = 2'000.0;
-  config.reuse_threshold = 750.0;
-  config.max_penalty = 8'000.0;
   return config;
 }
 

@@ -18,13 +18,15 @@
 // the 1e3-AD scale profile, sequential vs sharded: feature x backend.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <iomanip>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/chaos.hpp"
 #include "core/design_harness.hpp"
 #include "core/scale_profile.hpp"
 #include "sim/engine.hpp"
@@ -33,7 +35,6 @@
 #include "simtest/differential.hpp"
 #include "simtest/scenario_generator.hpp"
 #include "simtest/simcase.hpp"
-#include "util/prng.hpp"
 
 namespace idr {
 namespace {
@@ -77,24 +78,36 @@ std::string transcript(const DiffResult& result) {
   return out.str();
 }
 
+std::string run_transcript(std::uint64_t seed, DiffOptions options) {
+  // Same-seed determinism of one backend is test_simtest's job; here
+  // every run budget goes to the cross-backend comparison.
+  options.check_determinism = false;
+  return transcript(
+      run_differential(generate_sim_case({.seed = seed}), options));
+}
+
+// The transcript of `seed` on `shards` inline shards (1 = the sequential
+// calendar run, the reference), computed once per binary and shared by
+// every comparison that needs it.
+const std::string& inline_transcript(std::uint64_t seed,
+                                     std::uint32_t shards) {
+  static std::map<std::pair<std::uint64_t, std::uint32_t>, std::string>
+      cache;
+  const auto [it, fresh] = cache.try_emplace({seed, shards});
+  if (fresh) {
+    DiffOptions options;
+    options.shards = shards;
+    it->second = run_transcript(seed, options);
+  }
+  return it->second;
+}
+
 TEST(EngineEquivalence, CalendarAndHeapRunsAreByteIdentical) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     SCOPED_TRACE(seed);
-    SimCaseParams params;
-    params.seed = seed;
-    const SimCase c = generate_sim_case(params);
-
-    DiffOptions options;
-    // Same-seed determinism of one backend is test_simtest's job; here
-    // every run budget goes to the cross-backend comparison.
-    options.check_determinism = false;
-
-    options.scheduler = SchedulerKind::kCalendar;
-    const DiffResult calendar = run_differential(c, options);
-    options.scheduler = SchedulerKind::kBinaryHeap;
-    const DiffResult heap = run_differential(c, options);
-
-    EXPECT_EQ(transcript(calendar), transcript(heap));
+    DiffOptions heap;
+    heap.scheduler = SchedulerKind::kBinaryHeap;
+    EXPECT_EQ(inline_transcript(seed, 1), run_transcript(seed, heap));
   }
 }
 
@@ -106,18 +119,9 @@ TEST(EngineEquivalence, ShardedRunsAreByteIdenticalToSequential) {
   // threaded path is covered below -- it executes the same windows).
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     SCOPED_TRACE(seed);
-    SimCaseParams params;
-    params.seed = seed;
-    const SimCase c = generate_sim_case(params);
-
-    DiffOptions options;
-    options.check_determinism = false;
-    options.shards = 1;
-    const std::string reference = transcript(run_differential(c, options));
     for (const std::uint32_t shards : {2u, 4u, 8u}) {
       SCOPED_TRACE(shards);
-      options.shards = shards;
-      EXPECT_EQ(transcript(run_differential(c, options)), reference);
+      EXPECT_EQ(inline_transcript(seed, shards), inline_transcript(seed, 1));
     }
   }
 }
@@ -128,19 +132,12 @@ TEST(EngineEquivalence, ThreadedShardsMatchInlineShards) {
   // without re-running the whole matrix under contention.
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE(seed);
-    SimCaseParams params;
-    params.seed = seed;
-    const SimCase c = generate_sim_case(params);
-
-    DiffOptions options;
-    options.check_determinism = false;
-    options.shards = 4;
-    options.threads = 0;
-    const std::string inline_run = transcript(run_differential(c, options));
     for (const unsigned threads : {2u, 4u}) {
       SCOPED_TRACE(threads);
+      DiffOptions options;
+      options.shards = 4;
       options.threads = threads;
-      EXPECT_EQ(transcript(run_differential(c, options)), inline_run);
+      EXPECT_EQ(run_transcript(seed, options), inline_transcript(seed, 4));
     }
   }
 }
@@ -152,17 +149,10 @@ TEST(EngineEquivalence, MinimumLookaheadStressesTheWindowBoundary) {
   // leans on hardest. The transcript must still be byte-identical.
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE(seed);
-    SimCaseParams params;
-    params.seed = seed;
-    const SimCase c = generate_sim_case(params);
-
     DiffOptions options;
-    options.check_determinism = false;
-    const std::string reference = transcript(run_differential(c, options));
-
     options.shards = 4;
     options.lookahead_ms = 1e-3;  // far below any real link delay
-    EXPECT_EQ(transcript(run_differential(c, options)), reference);
+    EXPECT_EQ(run_transcript(seed, options), inline_transcript(seed, 1));
   }
 }
 
@@ -231,8 +221,8 @@ struct StormRun {
 };
 
 // One storm over the 1e3-AD scale profile on `backend`, assembled from
-// the pieces run_scale_chaos uses (no invariant monitor: the
-// observables are the network's own).
+// the pieces run_scale_chaos uses, its storm schedule included (no
+// invariant monitor: the observables are the network's own).
 StormRun run_storm(const std::string& arch, Feature feature,
                    const EngineBackend& backend) {
   ScaleProfile profile = make_scale_profile(1'000, kProfileSeed);
@@ -279,34 +269,14 @@ StormRun run_storm(const std::string& arch, Feature feature,
   engine.run();
   snapshot("converged");
 
+  // run_scale_chaos's restart storm (crashes down 300 ms, so recovery
+  // lands inside the 2 s grace window) or flap storm.
+  if (restart) net.set_overload({.queue_limit = 64});
   FailureInjector injector(net);
-  const SimTime onset = engine.now() + 200.0;
-  Prng prng(0x73746f726dULL);
-  if (restart) {
-    // Two waves of 8 staggered transit crashes, each down 300 ms:
-    // recovery lands inside the 2 s grace window.
-    net.set_overload({.queue_limit = 64});
-    std::vector<AdId> pool = profile.transits;
-    prng.shuffle(pool);
-    for (std::uint32_t wave = 0; wave < 2; ++wave) {
-      for (std::size_t i = 0; i < 8; ++i) {
-        injector.crash_node_at(pool[i], onset + wave * 800.0 + i * 40.0,
-                               300.0);
-      }
-    }
-  } else {
-    // 8 transit-transit links flapping at a 200 ms period, random phase.
-    std::vector<LinkId> core;
-    for (const Link& l : topo.links()) {
-      if (topo.can_transit(l.a) && topo.can_transit(l.b)) core.push_back(l.id);
-    }
-    prng.shuffle(core);
-    for (std::size_t i = 0; i < std::min<std::size_t>(8, core.size()); ++i) {
-      const SimTime phase = 200.0 * static_cast<double>(prng.below(1024)) /
-                            1024.0;
-      injector.flap_link(core[i], onset + phase, 200.0, 0.5, 10);
-    }
-  }
+  schedule_storm({.seed = kProfileSeed,
+                  .storm = restart ? StormFamily::kRestartStorm
+                                   : StormFamily::kFlapStorm},
+                 profile, injector, engine.now() + 200.0);
   engine.run();
   snapshot("storm");
   return {out.str(), net.overload_stats(), net.gr_recoveries()};

@@ -21,12 +21,19 @@
 //   --shards N     run the sharded-parallel engine with N shards (1 =
 //                  sequential reference; results are identical either way)
 //   --threads N    worker threads for the shards (0 = inline windows)
+// Seeds and counts are plain decimals (digits only): --seeds 1..100000,
+// --shards 1..64, --threads 0..64, --min-ads and --max-ads 0..1024 with
+// min <= max, --flows 0..4096. --horizon-ms is a finite number above 0.
+// Anything else exits 2 before a case runs.
+#include <cerrno>
 #include <cinttypes>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "simtest/differential.hpp"
 #include "simtest/scenario_generator.hpp"
@@ -37,9 +44,16 @@ namespace {
 
 using namespace idr;
 
+// Upper bounds on the counts: far above any useful simtest run, far below
+// a count that exhausts memory, threads or a uint32 size range.
+constexpr std::uint64_t kMaxSeeds = 100'000;
+constexpr std::uint64_t kMaxShards = 64;  // also bounds --threads
+constexpr std::uint64_t kMaxAds = 1'024;
+constexpr std::uint64_t kMaxFlows = 4'096;
+
 struct ToolOptions {
   std::uint64_t seed = 1;
-  int seeds = 8;
+  std::uint64_t seeds = 8;
   bool shrink = false;
   bool inject_bug = false;
   bool determinism = true;
@@ -51,6 +65,27 @@ struct ToolOptions {
   std::string write_dir;  // dump every case before running (corpus refresh)
   SimCaseParams gen;
 };
+
+// A plain decimal in [lo, hi]: digits only, no overflow.
+bool parse_u64(const char* s, std::uint64_t lo, std::uint64_t hi,
+               std::uint64_t& out) {
+  if (*s == '\0') return false;
+  for (const char* p = s; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') return false;
+  }
+  errno = 0;
+  out = std::strtoull(s, nullptr, 10);
+  return errno == 0 && out >= lo && out <= hi;
+}
+
+// A finite decimal above zero, nothing after it.
+bool parse_positive(const char* s, double& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtod(s, &end);
+  return end != s && *end == '\0' && errno == 0 && std::isfinite(out) &&
+         out > 0.0;
+}
 
 std::string read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -126,6 +161,7 @@ void json_report(std::FILE* f, const SimCase& c, const DiffResult& result,
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr std::uint64_t kU64 = std::numeric_limits<std::uint64_t>::max();
   ToolOptions opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -136,30 +172,49 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--seed") opts.seed = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--seeds") opts.seeds = std::atoi(next());
+    std::uint64_t n = 0;
+    bool ok = true;
+    if (arg == "--seed") ok = parse_u64(next(), 0, kU64, opts.seed);
+    else if (arg == "--seeds")
+      ok = parse_u64(next(), 1, kMaxSeeds, opts.seeds);
     else if (arg == "--shrink") opts.shrink = true;
     else if (arg == "--inject-bug") opts.inject_bug = true;
     else if (arg == "--no-determinism") opts.determinism = false;
-    else if (arg == "--shards")
-      opts.shards = static_cast<std::uint32_t>(std::atoi(next()));
-    else if (arg == "--threads")
-      opts.threads = static_cast<unsigned>(std::atoi(next()));
-    else if (arg == "--json") opts.json_path = next();
+    else if (arg == "--shards") {
+      ok = parse_u64(next(), 1, kMaxShards, n);
+      opts.shards = static_cast<std::uint32_t>(n);
+    } else if (arg == "--threads") {
+      ok = parse_u64(next(), 0, kMaxShards, n);
+      opts.threads = static_cast<unsigned>(n);
+    } else if (arg == "--json") opts.json_path = next();
     else if (arg == "--out") opts.out_dir = next();
     else if (arg == "--replay") opts.replay_path = next();
     else if (arg == "--write-cases") opts.write_dir = next();
-    else if (arg == "--min-ads")
-      opts.gen.min_ads = static_cast<std::uint32_t>(std::atoi(next()));
-    else if (arg == "--max-ads")
-      opts.gen.max_ads = static_cast<std::uint32_t>(std::atoi(next()));
-    else if (arg == "--flows")
-      opts.gen.flow_count = static_cast<std::size_t>(std::atoi(next()));
-    else if (arg == "--horizon-ms") opts.gen.horizon_ms = std::atof(next());
-    else {
+    else if (arg == "--min-ads") {
+      ok = parse_u64(next(), 0, kMaxAds, n);
+      opts.gen.min_ads = static_cast<std::uint32_t>(n);
+    } else if (arg == "--max-ads") {
+      ok = parse_u64(next(), 0, kMaxAds, n);
+      opts.gen.max_ads = static_cast<std::uint32_t>(n);
+    } else if (arg == "--flows") {
+      ok = parse_u64(next(), 0, kMaxFlows, n);
+      opts.gen.flow_count = static_cast<std::size_t>(n);
+    } else if (arg == "--horizon-ms") {
+      ok = parse_positive(next(), opts.gen.horizon_ms);
+    } else {
       std::fprintf(stderr, "simtest: unknown option %s\n", arg.c_str());
       return 2;
     }
+    if (!ok) {
+      std::fprintf(stderr, "simtest: bad value for %s: %s\n", arg.c_str(),
+                   argv[i]);
+      return 2;
+    }
+  }
+  if (opts.gen.min_ads > opts.gen.max_ads) {
+    std::fprintf(stderr, "simtest: --min-ads %u is above --max-ads %u\n",
+                 opts.gen.min_ads, opts.gen.max_ads);
+    return 2;
   }
 
   DiffOptions diff;
@@ -168,7 +223,8 @@ int main(int argc, char** argv) {
   diff.shards = opts.shards;
   diff.threads = opts.threads;
 
-  std::vector<SimCase> cases;
+  // A replayed case, or seeds generated one at a time as they run.
+  std::optional<SimCase> replayed;
   if (!opts.replay_path.empty()) {
     SimCaseParseResult parsed = parse_sim_case(read_file(opts.replay_path));
     if (const auto* e = std::get_if<SimCaseParseError>(&parsed)) {
@@ -176,14 +232,9 @@ int main(int argc, char** argv) {
                    e->describe().c_str());
       return 2;
     }
-    cases.push_back(std::move(std::get<SimCase>(parsed)));
-  } else {
-    for (int k = 0; k < opts.seeds; ++k) {
-      SimCaseParams params = opts.gen;
-      params.seed = opts.seed + static_cast<std::uint64_t>(k);
-      cases.push_back(generate_sim_case(params));
-    }
+    replayed = std::move(std::get<SimCase>(parsed));
   }
+  const std::uint64_t case_count = replayed ? 1 : opts.seeds;
 
   std::FILE* json = nullptr;
   if (!opts.json_path.empty()) {
@@ -198,15 +249,17 @@ int main(int argc, char** argv) {
 
   std::size_t failing_cases = 0;
   std::size_t total_violations = 0;
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const SimCase& c = cases[i];
+  for (std::uint64_t i = 0; i < case_count; ++i) {
+    SimCaseParams params = opts.gen;
+    params.seed = opts.seed + i;
+    const SimCase c = replayed ? *replayed : generate_sim_case(params);
     if (!opts.write_dir.empty()) {
       write_file(opts.write_dir + "/" + c.name + ".simcase",
                  format_sim_case(c));
     }
     const DiffResult result = run_differential(c, diff);
     print_result(c, result);
-    if (json) json_report(json, c, result, i + 1 == cases.size());
+    if (json) json_report(json, c, result, i + 1 == case_count);
     if (result.clean()) continue;
     ++failing_cases;
     total_violations += result.violation_count();
@@ -235,7 +288,8 @@ int main(int argc, char** argv) {
     std::fprintf(json, "  ],\n  \"failing_cases\": %zu\n}\n", failing_cases);
     std::fclose(json);
   }
-  std::printf("simtest: %zu/%zu cases clean, %zu genuine violations\n",
-              cases.size() - failing_cases, cases.size(), total_violations);
+  std::printf("simtest: %" PRIu64 "/%" PRIu64
+              " cases clean, %zu genuine violations\n",
+              case_count - failing_cases, case_count, total_violations);
   return failing_cases == 0 ? 0 : 1;
 }
