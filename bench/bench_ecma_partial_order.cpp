@@ -68,7 +68,7 @@ void report() {
       "fraction is mutually unsatisfiable and must be negotiated away --\n"
       "each negotiation round being a centrally-coordinated policy\n"
       "revision across autonomous administrations. Every policy change\n"
-      "re-triggers the global recomputation measured below.\n");
+      "re-triggers the global recomputation.\n");
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // their ADs"; this module gives them a configuration syntax instead of
 // C++ structure literals. One statement per line; '#' starts a comment.
 //
-//   term owner=Reg-1 src={Campus-0,Campus-2} dst=* prev=* next={BB-West} \
-//        qos={default,low-delay} uci={research} hours=8-18 cost=3
+//   term owner=Reg-1 src={Campus-0,Campus-2} dst=* prev=* next={BB-West}
+//   term owner=Reg-1 qos={default,low-delay} uci={research} hours=8-18 cost=3
 //   source Campus-0 avoid={BB-East} max-hops=12 prefer=cost
 //
 // AD names resolve against the Topology's AD names. `*` means "any".

@@ -22,19 +22,14 @@ bool AdSet::contains(AdId id) const noexcept {
 
 void AdSet::encode(wire::Writer& w) const {
   w.u8(any_ ? 1 : 0);
-  if (!any_) {
-    std::vector<std::uint32_t> raw;
-    raw.reserve(members_.size());
-    for (AdId id : members_) raw.push_back(id.v);
-    w.u32_list(raw);
-  }
+  if (!any_) w.list(members_);
 }
 
 AdSet AdSet::decode(wire::Reader& r) {
   const std::uint8_t any = r.u8();
   if (any) return AdSet::any();
   std::vector<AdId> members;
-  for (std::uint32_t v : r.u32_list()) members.push_back(AdId{v});
+  r.list(members);
   return AdSet::of(std::move(members));
 }
 

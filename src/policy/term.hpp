@@ -36,6 +36,9 @@ class AdSet {
 
   void encode(wire::Writer& w) const;
   static AdSet decode(wire::Reader& r);
+  [[nodiscard]] std::size_t encoded_size() const noexcept {
+    return any_ ? 1 : 3 + 4 * members_.size();
+  }
 
   friend bool operator==(const AdSet&, const AdSet&) = default;
 
@@ -79,6 +82,11 @@ struct PolicyTerm {
 
   void encode(wire::Writer& w) const;
   static std::optional<PolicyTerm> decode(wire::Reader& r);
+  // Fixed fields: id, owner, the two masks, the two hours, cost.
+  [[nodiscard]] std::size_t encoded_size() const noexcept {
+    return 16 + sources.encoded_size() + dests.encoded_size() +
+           prev_hops.encoded_size() + next_hops.encoded_size();
+  }
 
   [[nodiscard]] std::string describe(const Topology& topo) const;
 

@@ -78,17 +78,14 @@ RouteAttrs RouteAttrs::decode(wire::Reader& r) {
 
 void IdrpRoute::encode(wire::Writer& w) const {
   w.u32(dst.v);
-  std::vector<std::uint32_t> raw;
-  raw.reserve(path.size());
-  for (AdId ad : path) raw.push_back(ad.v);
-  w.u32_list(raw);
+  w.list(path);
   attrs.encode(w);
 }
 
 std::optional<IdrpRoute> IdrpRoute::decode(wire::Reader& r) {
   IdrpRoute route;
   route.dst = AdId{r.u32()};
-  for (std::uint32_t v : r.u32_list()) route.path.push_back(AdId{v});
+  r.list(route.path);
   route.attrs = RouteAttrs::decode(r);
   if (!r.ok()) return std::nullopt;
   return route;

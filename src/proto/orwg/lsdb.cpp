@@ -1,5 +1,7 @@
 #include "proto/orwg/lsdb.hpp"
 
+#include <algorithm>
+
 namespace idr {
 
 void PolicyLsa::encode(wire::Writer& w) const {
@@ -14,19 +16,11 @@ void PolicyLsa::encode(wire::Writer& w) const {
   for (const PolicyTerm& t : terms) t.encode(w);
   w.u8(has_source_policy ? 1 : 0);
   if (has_source_policy) {
-    std::vector<std::uint32_t> raw;
-    raw.reserve(avoid.size());
-    for (AdId ad : avoid) raw.push_back(ad.v);
-    w.u32_list(raw);
+    w.list(avoid);
     w.u32(max_hops);
     w.u8(prefer_min_cost ? 1 : 0);
   }
-  {
-    std::vector<std::uint32_t> raw;
-    raw.reserve(attached_stubs.size());
-    for (AdId ad : attached_stubs) raw.push_back(ad.v);
-    w.u32_list(raw);
-  }
+  w.list(attached_stubs);
   w.u64(auth);
 }
 
@@ -34,7 +28,11 @@ std::optional<PolicyLsa> PolicyLsa::decode(wire::Reader& r) {
   PolicyLsa lsa;
   lsa.origin = AdId{r.u32()};
   lsa.seq = r.u32();
+  // The database keeps the decoded LSA as it is, so each vector gets the
+  // exact capacity its count asks for -- as far as the bytes left can hold
+  // it (an adjacency takes 8 bytes, a term at least 20).
   const std::uint16_t adj_count = r.u16();
+  lsa.adjacencies.reserve(std::min<std::size_t>(adj_count, r.remaining() / 8));
   for (std::uint16_t i = 0; i < adj_count && r.ok(); ++i) {
     PolicyLsaAdjacency adj;
     adj.neighbor = AdId{r.u32()};
@@ -42,6 +40,7 @@ std::optional<PolicyLsa> PolicyLsa::decode(wire::Reader& r) {
     lsa.adjacencies.push_back(adj);
   }
   const std::uint16_t term_count = r.u16();
+  lsa.terms.reserve(std::min<std::size_t>(term_count, r.remaining() / 20));
   for (std::uint16_t i = 0; i < term_count && r.ok(); ++i) {
     auto term = PolicyTerm::decode(r);
     if (!term) return std::nullopt;
@@ -49,11 +48,11 @@ std::optional<PolicyLsa> PolicyLsa::decode(wire::Reader& r) {
   }
   lsa.has_source_policy = r.u8() != 0;
   if (lsa.has_source_policy) {
-    for (std::uint32_t v : r.u32_list()) lsa.avoid.push_back(AdId{v});
+    r.list(lsa.avoid);
     lsa.max_hops = r.u32();
     lsa.prefer_min_cost = r.u8() != 0;
   }
-  for (std::uint32_t v : r.u32_list()) lsa.attached_stubs.push_back(AdId{v});
+  r.list(lsa.attached_stubs);
   lsa.auth = r.u64();
   if (!r.ok()) return std::nullopt;
   return lsa;
@@ -75,9 +74,11 @@ std::uint64_t lsa_auth_tag(const PolicyLsa& lsa, std::uint64_t key) {
 }
 
 std::size_t PolicyLsa::encoded_size() const {
-  wire::Writer w;
-  encode(w);
-  return w.size();
+  // Fixed fields: origin, seq, three counts, the source-policy flag, auth.
+  std::size_t n = 23 + 8 * adjacencies.size() + 4 * attached_stubs.size();
+  for (const PolicyTerm& t : terms) n += t.encoded_size();
+  if (has_source_policy) n += 7 + 4 * avoid.size();
+  return n;
 }
 
 bool PolicyLsdb::insert(PolicyLsa lsa) {

@@ -26,19 +26,6 @@ FlowSpec decode_flow(wire::Reader& r) {
   return flow;
 }
 
-void encode_path(wire::Writer& w, const std::vector<AdId>& path) {
-  std::vector<std::uint32_t> raw;
-  raw.reserve(path.size());
-  for (AdId ad : path) raw.push_back(ad.v);
-  w.u32_list(raw);
-}
-
-std::vector<AdId> decode_path(wire::Reader& r) {
-  std::vector<AdId> path;
-  for (std::uint32_t v : r.u32_list()) path.push_back(AdId{v});
-  return path;
-}
-
 // Payload of each send_flow data packet.
 constexpr std::uint16_t kDefaultPayloadBytes = 512;
 // Setup packets are retransmitted until acked/nakked (they may be lost on
@@ -131,7 +118,7 @@ void OrwgNode::transmit_setup(PrHandle handle) {
   w.u8(kMsgSetup);
   w.u64(handle.v);
   encode_flow(w, pr.flow);
-  encode_path(w, pr.path);
+  w.list(pr.path);
   w.u16(1);  // position of the receiving AD on the path
   send_pdu(pr.path[1], std::move(w));
 }
@@ -367,7 +354,8 @@ void OrwgNode::on_other_message(std::uint8_t type, AdId from,
 void OrwgNode::handle_setup(AdId from, wire::Reader& r) {
   const PrHandle handle{r.u64()};
   const FlowSpec flow = decode_flow(r);
-  const std::vector<AdId> path = decode_path(r);
+  std::vector<AdId> path;
+  r.list(path);
   const std::uint16_t position = r.u16();
   if (!r.ok()) {
     drop_malformed();
@@ -403,7 +391,7 @@ void OrwgNode::handle_setup(AdId from, wire::Reader& r) {
   w.u8(kMsgSetup);
   w.u64(handle.v);
   encode_flow(w, flow);
-  encode_path(w, path);
+  w.list(path);
   w.u16(static_cast<std::uint16_t>(position + 1));
   send_pdu(path[position + 1], std::move(w));
 }

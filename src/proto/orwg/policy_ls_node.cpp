@@ -119,9 +119,10 @@ void PolicyLsNode::send_lsa(AdId to, const PolicyLsa& lsa) {
 void PolicyLsNode::flood_lsa(const PolicyLsa& lsa, AdId except,
                              MsgClass cls) {
   wire::Writer w;
+  w.reserve(1 + lsa.encoded_size());
   w.u8(kMsgLsa);
   lsa.encode(w);
-  // One encoded frame shared across all receivers (one allocation).
+  // The encoded frame becomes the payload every receiver shares.
   // Transit-scoped: in hierarchical mode stubs keep no database, so the
   // flood only visits the transit subgraph.
   const bool hierarchical = ls_config().hierarchical;
@@ -129,7 +130,7 @@ void PolicyLsNode::flood_lsa(const PolicyLsa& lsa, AdId except,
   for (const Adjacency& adj : live_neighbors()) {
     if (adj.neighbor == except) continue;
     if (hierarchical && !topo().can_transit(adj.neighbor)) continue;
-    if (!payload) payload = make_payload(w.bytes());
+    if (!payload) payload = make_payload(w.take());
     net().send(self(), adj.neighbor, payload, cls);
   }
 }
@@ -191,7 +192,9 @@ void PolicyLsNode::accept_lsa(PolicyLsa lsa, AdId from) {
     send_lsa(from, *have);
     return;
   }
-  if (lsdb_.insert(lsa)) reflood(lsa, from);
+  // Accepted: the database takes the LSA and the re-flood reads its copy.
+  const AdId origin = lsa.origin;
+  if (lsdb_.insert(std::move(lsa))) reflood(*lsdb_.get(origin), from);
 }
 
 void PolicyLsNode::on_link_change(AdId neighbor, bool up) {

@@ -98,7 +98,7 @@ struct InvariantConfig {
 struct FaultClassStats {
   std::string name;
   std::uint64_t faults = 0;
-  Summary reconverge_ms;   // fault of this class -> first all-clean sweep
+  Summary reconverge_ms{};  // fault of this class -> first all-clean sweep
   double peak_blast = 0.0; // max per-sweep violating probe fraction
 };
 

@@ -4,64 +4,22 @@
 
 namespace idr::wire {
 
-void Writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void Writer::u32(std::uint32_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 24));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 16));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void Writer::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v >> 32));
-  u32(static_cast<std::uint32_t>(v));
-}
-
 void Writer::str(std::string_view v) {
   IDR_CHECK_MSG(v.size() <= 0xffff, "string too long for u16 length prefix");
   u16(static_cast<std::uint16_t>(v.size()));
   buf_.insert(buf_.end(), v.begin(), v.end());
 }
 
-void Writer::u32_list(std::span<const std::uint32_t> values) {
-  IDR_CHECK_MSG(values.size() <= 0xffff, "list too long for u16 length prefix");
-  u16(static_cast<std::uint16_t>(values.size()));
-  for (std::uint32_t v : values) u32(v);
+std::uint8_t* Writer::open_list(std::size_t count) {
+  IDR_CHECK_MSG(count <= 0xffff, "list too long for u16 length prefix");
+  u16(static_cast<std::uint16_t>(count));
+  const std::size_t at = buf_.size();
+  buf_.resize(at + 4 * count);
+  return buf_.data() + at;
 }
 
 void Writer::raw(std::span<const std::uint8_t> bytes) {
   buf_.insert(buf_.end(), bytes.begin(), bytes.end());
-}
-
-std::uint8_t Reader::u8() {
-  if (!take(1)) return 0;
-  return data_[pos_++];
-}
-
-std::uint16_t Reader::u16() {
-  if (!take(2)) return 0;
-  const std::uint16_t v = static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(data_[pos_]) << 8) | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t Reader::u32() {
-  if (!take(4)) return 0;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t Reader::u64() {
-  const std::uint64_t hi = u32();
-  const std::uint64_t lo = u32();
-  return (hi << 32) | lo;
 }
 
 std::string Reader::str() {
@@ -72,31 +30,12 @@ std::string Reader::str() {
   return out;
 }
 
-std::vector<std::uint32_t> Reader::u32_list() {
-  const std::uint16_t len = u16();
-  if (!take(static_cast<std::size_t>(len) * 4)) return {};
-  std::vector<std::uint32_t> out;
-  out.reserve(len);
-  for (std::uint16_t i = 0; i < len; ++i) out.push_back(u32());
-  return out;
-}
-
-std::string_view Reader::str_view() {
-  const std::uint16_t len = u16();
-  if (!take(len)) return {};
-  const std::string_view out(
-      reinterpret_cast<const char*>(data_.data() + pos_), len);
-  pos_ += len;
-  return out;
-}
-
-bool Reader::u32_list_into(std::vector<std::uint32_t>& out) {
-  out.clear();
-  const std::uint16_t len = u16();
-  if (!take(static_cast<std::size_t>(len) * 4)) return false;
-  out.reserve(len);
-  for (std::uint16_t i = 0; i < len; ++i) out.push_back(u32());
-  return true;
+std::span<const std::uint8_t> Reader::take_list() {
+  const std::size_t bytes = std::size_t{u16()} * 4;
+  if (!take(bytes)) return {};
+  const auto words = data_.subspan(pos_, bytes);
+  pos_ += bytes;
+  return words;
 }
 
 }  // namespace idr::wire

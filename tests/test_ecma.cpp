@@ -134,8 +134,11 @@ TEST_F(EcmaTest, RoutesAreUpDownShaped) {
       bool went_down = false;
       for (std::size_t i = 0; i + 1 < path->size(); ++i) {
         const bool up = order_.order.is_up((*path)[i], (*path)[i + 1]);
-        if (up) EXPECT_FALSE(went_down) << "valley in ECMA route";
-        if (!up) went_down = true;
+        if (up) {
+          EXPECT_FALSE(went_down) << "valley in ECMA route";
+        } else {
+          went_down = true;
+        }
       }
     }
   }

@@ -50,22 +50,16 @@ struct LineNet {
   }
 };
 
-// Feed `bytes` into the node from every neighbor direction; the only
-// acceptable outcomes are "applied" or "counted and dropped".
-void inject(Network& net, Node& node, AdId from,
-            const std::vector<std::uint8_t>& bytes) {
-  node.on_message(from, bytes);
-}
-
 // The fuzz corpus for one valid PDU: every truncation, then seeded bit
-// flips, then fully random buffers.
+// flips, then fully random buffers. The only acceptable outcomes of each
+// are "applied" or "counted and dropped".
 void fuzz_node(LineNet& env, Node& node, AdId from,
                const std::vector<std::uint8_t>& valid, Prng& prng) {
   // Truncations (excluding the full valid frame itself).
   for (std::size_t len = 0; len < valid.size(); ++len) {
     std::vector<std::uint8_t> cut(valid.begin(),
                                   valid.begin() + static_cast<long>(len));
-    inject(*env.net, node, from, cut);
+    node.on_message(from, cut);
   }
   // Bit flips.
   for (int i = 0; i < 64; ++i) {
@@ -76,7 +70,7 @@ void fuzz_node(LineNet& env, Node& node, AdId from,
       const auto at = static_cast<std::size_t>(prng.below(flipped.size()));
       flipped[at] ^= static_cast<std::uint8_t>(1u << prng.below(8));
     }
-    inject(*env.net, node, from, flipped);
+    node.on_message(from, flipped);
   }
   // Fully random buffers (random length, random type byte).
   for (int i = 0; i < 128; ++i) {
@@ -84,7 +78,7 @@ void fuzz_node(LineNet& env, Node& node, AdId from,
     for (auto& byte : random) {
       byte = static_cast<std::uint8_t>(prng.below(256));
     }
-    inject(*env.net, node, from, random);
+    node.on_message(from, random);
   }
   // Whatever the node sent in response must also be survivable.
   env.engine.run();

@@ -14,8 +14,8 @@
 //
 // Architectures: dv-plain dv-rip ls-ospf egp ecma idrp ls-hbh orwg dv-sr
 //
-// Example:
-//   idrsim --topo fig1.topo --policies aup.pol --arch orwg \
+// Example (one command):
+//   idrsim --topo fig1.topo --policies aup.pol --arch orwg
 //       route Campus-0 Campus-6 default research 12
 #include <cstdio>
 #include <cstring>
