@@ -9,10 +9,15 @@ namespace idr {
 AdSet AdSet::of(std::vector<AdId> members) {
   AdSet s;
   s.any_ = false;
-  std::sort(members.begin(), members.end());
-  members.erase(std::unique(members.begin(), members.end()), members.end());
   s.members_ = std::move(members);
+  s.sort_members();
   return s;
+}
+
+void AdSet::sort_members() {
+  std::sort(members_.begin(), members_.end());
+  members_.erase(std::unique(members_.begin(), members_.end()),
+                 members_.end());
 }
 
 bool AdSet::contains(AdId id) const noexcept {
@@ -26,11 +31,19 @@ void AdSet::encode(wire::Writer& w) const {
 }
 
 AdSet AdSet::decode(wire::Reader& r) {
-  const std::uint8_t any = r.u8();
-  if (any) return AdSet::any();
-  std::vector<AdId> members;
-  r.list(members);
-  return AdSet::of(std::move(members));
+  AdSet s;
+  s.decode_from(r);
+  return s;
+}
+
+void AdSet::decode_from(wire::Reader& r) {
+  any_ = r.u8() != 0;
+  if (any_) {
+    members_.clear();
+    return;
+  }
+  r.list(members_);
+  sort_members();
 }
 
 bool PolicyTerm::hour_in_window(std::uint8_t hour) const noexcept {

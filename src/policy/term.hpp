@@ -36,6 +36,8 @@ class AdSet {
 
   void encode(wire::Writer& w) const;
   static AdSet decode(wire::Reader& r);
+  // decode() into this set, reusing its member buffer.
+  void decode_from(wire::Reader& r);
   [[nodiscard]] std::size_t encoded_size() const noexcept {
     return any_ ? 1 : 3 + 4 * members_.size();
   }
@@ -43,6 +45,8 @@ class AdSet {
   friend bool operator==(const AdSet&, const AdSet&) = default;
 
  private:
+  void sort_members();
+
   bool any_ = true;
   std::vector<AdId> members_;  // sorted, unique
 };

@@ -4,6 +4,12 @@
 
 namespace idr {
 
+wire::Writer& PolicyDvNode::update_writer() {
+  thread_local wire::Writer writer;
+  writer.clear();
+  return writer;
+}
+
 void PolicyDvNode::trigger_advertise() {
   const double mrai = dv_config().mrai_ms;
   if (mrai <= 0.0) {

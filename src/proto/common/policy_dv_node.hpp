@@ -57,6 +57,12 @@ class PolicyDvNode : public ProtoNode {
   // refreshed.
   virtual void flush_stale(AdId neighbor) = 0;
 
+  // The writer this thread encodes every update into, cleared: one
+  // buffer grown once, not one per update. An update is copied out
+  // exactly sized (the network keeps in-flight payloads resident, so
+  // slack would be memory) before the next encode on the thread.
+  [[nodiscard]] static wire::Writer& update_writer();
+
   // Advertise now, or once at the end of the MRAI window.
   void trigger_advertise();
   // advertise(kRefresh) every periodic_refresh_ms.

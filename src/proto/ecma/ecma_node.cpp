@@ -29,7 +29,8 @@ bool EcmaNode::advertisable(AdId dst) const {
   return true;
 }
 
-std::vector<std::uint8_t> EcmaNode::encode_for(AdId /*neighbor*/) const {
+const std::vector<std::uint8_t>& EcmaNode::encode_for(
+    AdId /*neighbor*/) const {
   // Both route shapes are advertised, marked with the types of links they
   // traverse (paper §5.1.1: "routes described in distance vector updates
   // are marked as to the types of links traversed"); the receiver applies
@@ -43,9 +44,9 @@ std::vector<std::uint8_t> EcmaNode::encode_for(AdId /*neighbor*/) const {
   //   * false origin -- metric-0 reachability for the victim is appended.
   const Misbehavior mis = net().active_misbehavior(self());
   const SimTime now = net().engine().now();
-  wire::Writer w;
+  wire::Writer& w = update_writer();
   w.u8(kMsgUpdate);
-  wire::Writer body;
+  w.u16(0);  // the entry count, written once known
   std::uint16_t count = 0;
   for (const auto [k, entry] : rib_) {
     const AdId dst{static_cast<std::uint32_t>(k >> 8)};
@@ -68,10 +69,10 @@ std::vector<std::uint8_t> EcmaNode::encode_for(AdId /*neighbor*/) const {
       std::uint16_t metric = valid ? r->metric : kInfinity;
       if (mis == Misbehavior::kRouteLeak) down_only = 1;
       if (mis == Misbehavior::kTamper && valid) metric = 0;
-      body.u32(dst.v);
-      body.u8(qos);
-      body.u8(down_only);
-      body.u16(metric);
+      w.u32(dst.v);
+      w.u8(qos);
+      w.u8(down_only);
+      w.u16(metric);
       ++count;
     }
   }
@@ -81,18 +82,17 @@ std::vector<std::uint8_t> EcmaNode::encode_for(AdId /*neighbor*/) const {
       for (std::uint8_t q = 0; q < kQosCount; ++q) {
         if ((config_.qos_mask & (1u << q)) == 0) continue;
         for (const std::uint8_t down_only : {0, 1}) {
-          body.u32(victim.v);
-          body.u8(q);
-          body.u8(down_only);
-          body.u16(0);
+          w.u32(victim.v);
+          w.u8(q);
+          w.u8(down_only);
+          w.u16(0);
           ++count;
         }
       }
     }
   }
-  w.u16(count);
-  w.raw(body.bytes());
-  return std::move(w).take();
+  w.u16_at(1, count);
+  return w.bytes();
 }
 
 const EcmaNode::SenderBound& EcmaNode::sender_bound(AdId from) {
@@ -141,6 +141,7 @@ bool EcmaNode::defense_accepts(const SenderBound& bound, AdId from, AdId dst,
 void EcmaNode::advertise(MsgClass cls) {
   Payload payload;
   for (const Adjacency& adj : live_neighbors()) {
+    // An exact-size copy of the encoded update.
     if (!payload) payload = make_payload(encode_for(adj.neighbor));
     net().send(self(), adj.neighbor, payload, cls);
   }
@@ -158,7 +159,9 @@ bool EcmaNode::change_is_advertised(std::uint64_t k, bool flap) {
 
 void EcmaNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
   // Parse the whole update before touching the RIB: a truncated or
-  // corrupted PDU is counted and dropped, never partially applied.
+  // corrupted PDU is counted and dropped, never partially applied. The
+  // entries and the per-key candidates live in per-thread scratch that
+  // every update on the thread reuses.
   wire::Reader r(bytes);
   const std::uint8_t type = r.u8();
   const std::uint16_t count = r.u16();
@@ -168,9 +171,11 @@ void EcmaNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
     bool adv_down_only;
     std::uint16_t adv;
   };
-  std::vector<RawEntry> entries;
+  thread_local std::vector<RawEntry> entries;
+  entries.clear();
   if (r.ok() && type == kMsgUpdate) {
-    entries.reserve(count);
+    // As many as the bytes left can hold: an entry takes 8.
+    entries.reserve(std::min<std::size_t>(count, r.remaining() / 8));
     for (std::uint16_t i = 0; i < count && r.ok(); ++i) {
       RawEntry e;
       e.dst = AdId{r.u32()};
@@ -198,7 +203,9 @@ void EcmaNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
     // (used by the help heuristic below).
     std::uint16_t their_best = 0xffff;
   };
-  DenseMap<std::uint64_t, Candidates> per_key;
+  thread_local DenseMap<std::uint64_t, Candidates> per_key;
+  per_key.clear();
+  per_key.reserve(entries.size());
   const SenderBound* bound =
       config_.receiver_order_check ? &sender_bound(from) : nullptr;
   for (const RawEntry& entry : entries) {

@@ -134,8 +134,11 @@ class EcmaNode : public PolicyDvNode {
   void poison(Hit&& hit);
   [[nodiscard]] bool advertisable(AdId dst) const;
   // Damping is consulted via the pure would_suppress only: all releases
-  // are performed by the release timer, which always re-broadcasts.
-  [[nodiscard]] std::vector<std::uint8_t> encode_for(AdId neighbor) const;
+  // are performed by the release timer, which always re-broadcasts. The
+  // update is in update_writer()'s buffer: valid until the next encode
+  // on this thread.
+  [[nodiscard]] const std::vector<std::uint8_t>& encode_for(
+      AdId neighbor) const;
 
   // Static per-sender distance lower bounds for the receiver-side
   // defense, computed lazily over the full (state-independent) topology:

@@ -62,7 +62,8 @@ void EgpNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
   const std::uint16_t count = r.u16();
   std::vector<std::pair<std::uint32_t, std::uint16_t>> entries;
   if (r.ok() && type == kMsgReach) {
-    entries.reserve(count);
+    // As many as the bytes left can hold: an entry takes 6.
+    entries.reserve(std::min<std::size_t>(count, r.remaining() / 6));
     for (std::uint16_t i = 0; i < count && r.ok(); ++i) {
       const std::uint32_t dst = r.u32();
       const std::uint16_t adv = r.u16();

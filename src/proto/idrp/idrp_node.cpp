@@ -1,6 +1,9 @@
 #include "proto/idrp/idrp_node.hpp"
 
 #include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -66,29 +69,41 @@ void RouteAttrs::encode(wire::Writer& w) const {
   w.u32(cost);
 }
 
-RouteAttrs RouteAttrs::decode(wire::Reader& r) {
-  RouteAttrs a;
-  a.sources = AdSet::decode(r);
-  a.qos_mask = r.u8();
-  a.uci_mask = r.u8();
-  a.hour_mask = r.u32();
-  a.cost = r.u32();
-  return a;
+void RouteAttrs::decode_from(wire::Reader& r) {
+  sources.decode_from(r);
+  qos_mask = r.u8();
+  uci_mask = r.u8();
+  hour_mask = r.u32();
+  cost = r.u32();
 }
 
-void IdrpRoute::encode(wire::Writer& w) const {
+namespace {
+
+// A route's wire form, from its parts.
+void encode_route(wire::Writer& w, AdId dst, const std::vector<AdId>& path,
+                  const RouteAttrs& attrs) {
   w.u32(dst.v);
   w.list(path);
   attrs.encode(w);
 }
 
+}  // namespace
+
+void IdrpRoute::encode(wire::Writer& w) const {
+  encode_route(w, dst, path, attrs);
+}
+
 std::optional<IdrpRoute> IdrpRoute::decode(wire::Reader& r) {
   IdrpRoute route;
-  route.dst = AdId{r.u32()};
-  r.list(route.path);
-  route.attrs = RouteAttrs::decode(r);
-  if (!r.ok()) return std::nullopt;
+  if (!route.decode_from(r)) return std::nullopt;
   return route;
+}
+
+bool IdrpRoute::decode_from(wire::Reader& r) {
+  dst = AdId{r.u32()};
+  r.list(path);
+  attrs.decode_from(r);
+  return r.ok();
 }
 
 void IdrpNode::start() {
@@ -102,7 +117,7 @@ void IdrpNode::start() {
   schedule_refresh();
 }
 
-std::vector<std::uint8_t> IdrpNode::encode_for(AdId neighbor) {
+const std::vector<std::uint8_t>& IdrpNode::encode_for(AdId neighbor) const {
   // A Byzantine/misconfigured AD lies at this advertisement point:
   //   * route leak -- learned routes are re-advertised with wide-open
   //     attributes, skipping the Policy Term intersection entirely;
@@ -112,10 +127,17 @@ std::vector<std::uint8_t> IdrpNode::encode_for(AdId neighbor) {
   //     appended after the honest routes.
   const Misbehavior mis = net().active_misbehavior(self());
   const SimTime now = net().engine().now();
-  wire::Writer w;
+  wire::Writer& w = update_writer();
   w.u8(kMsgUpdate);
-  wire::Writer body;
+  w.u16(0);  // the route count, written once known
   std::uint16_t count = 0;
+  // The advertised path of the route being encoded: one buffer for every
+  // route this thread encodes.
+  thread_local std::vector<AdId> path;
+  const auto emit = [&](AdId dst, const RouteAttrs& attrs) {
+    encode_route(w, dst, path, attrs);
+    ++count;
+  };
   const auto own_terms = policies_->terms(self());
   for (const auto [dst_v, routes] : loc_rib_) {
     const AdId dst{dst_v};
@@ -139,36 +161,24 @@ std::vector<std::uint8_t> IdrpNode::encode_for(AdId neighbor) {
       }
       if (dst == self()) {
         // Terminating traffic needs no transit PT.
-        IdrpRoute adv;
-        adv.dst = self();
-        adv.path = {self()};
-        adv.encode(body);
-        ++count;
+        path.assign(1, self());
+        emit(self(), RouteAttrs{});
         ++emitted_for_dst;
         continue;
       }
       IDR_CHECK(!route.path.empty());
-      if (mis == Misbehavior::kRouteLeak) {
-        IdrpRoute adv;
-        adv.dst = dst;
-        adv.path.reserve(route.path.size() + 1);
-        adv.path.push_back(self());
-        adv.path.insert(adv.path.end(), route.path.begin(),
-                        route.path.end());
-        adv.attrs = RouteAttrs{};  // wide open: every source/QoS/UCI/hour
-        adv.attrs.cost = route.attrs.cost;
-        adv.encode(body);
-        ++count;
+      if (mis == Misbehavior::kTamper) {
+        path.assign({self(), dst});  // claims a direct adjacency
+        emit(dst, route.attrs);
         ++emitted_for_dst;
         continue;
       }
-      if (mis == Misbehavior::kTamper) {
-        IdrpRoute adv;
-        adv.dst = dst;
-        adv.path = {self(), dst};  // claims a direct adjacency
-        adv.attrs = route.attrs;
-        adv.encode(body);
-        ++count;
+      path.assign(1, self());
+      path.insert(path.end(), route.path.begin(), route.path.end());
+      if (mis == Misbehavior::kRouteLeak) {
+        RouteAttrs open;  // wide open: every source/QoS/UCI/hour
+        open.cost = route.attrs.cost;
+        emit(dst, open);
         ++emitted_for_dst;
         continue;
       }
@@ -188,15 +198,7 @@ std::vector<std::uint8_t> IdrpNode::encode_for(AdId neighbor) {
         attrs.hour_mask &= hour_window_mask(t.hour_begin, t.hour_end);
         attrs.cost += t.cost;
         if (!attrs.usable()) continue;
-        IdrpRoute adv;
-        adv.dst = dst;
-        adv.path.reserve(route.path.size() + 1);
-        adv.path.push_back(self());
-        adv.path.insert(adv.path.end(), route.path.begin(),
-                        route.path.end());
-        adv.attrs = std::move(attrs);
-        adv.encode(body);
-        ++count;
+        emit(dst, attrs);
         ++emitted_for_dst;
       }
     }
@@ -204,16 +206,12 @@ std::vector<std::uint8_t> IdrpNode::encode_for(AdId neighbor) {
   if (mis == Misbehavior::kFalseOrigin) {
     const AdId victim = net().misbehavior_victim(self());
     if (victim.valid() && victim != self() && victim != neighbor) {
-      IdrpRoute adv;
-      adv.dst = victim;
-      adv.path = {self()};  // "the victim is me" -- shortest possible claim
-      adv.encode(body);
-      ++count;
+      path.assign(1, self());  // "the victim is me" -- shortest possible claim
+      emit(victim, RouteAttrs{});
     }
   }
-  w.u16(count);
-  w.raw(body.bytes());
-  return std::move(w).take();
+  w.u16_at(1, count);
+  return w.bytes();
 }
 
 namespace {
@@ -248,7 +246,7 @@ void IdrpNode::advertise(MsgClass cls) {
   for (const Adjacency& adj : live_neighbors()) {
     if (generic_ok) {
       if (!shared) {
-        shared = make_payload(encode_for(kNoAd));
+        shared = make_payload(encode_for(kNoAd));  // an exact-size copy
         shared_hash = fnv1a(*shared);
       }
       auto [sent, inserted] = last_sent_hash_.try_emplace(adj.neighbor.v, 0);
@@ -257,19 +255,37 @@ void IdrpNode::advertise(MsgClass cls) {
       net().send(self(), adj.neighbor, shared, cls);
       continue;
     }
-    std::vector<std::uint8_t> update = encode_for(adj.neighbor);
+    const std::vector<std::uint8_t>& update = encode_for(adj.neighbor);
     const std::uint64_t hash = fnv1a(update);
     auto [sent, inserted] = last_sent_hash_.try_emplace(adj.neighbor.v, 0);
     if (!inserted && sent == hash) continue;  // nothing new for them
     sent = hash;
-    net().send(self(), adj.neighbor, std::move(update), cls);
+    net().send(self(), adj.neighbor, update, cls);  // an exact-size copy
   }
 }
+
+// Adj-RIB-in capacity grows in steps of this many routes.
+constexpr std::size_t kAdjRibStep = 16;
+
+// The routes an update keeps. Slots past `size` hold the buffers earlier
+// updates on this thread left, so decoding into them allocates only
+// when a route outgrows every one before it.
+struct IdrpNode::KeptRoutes {
+  std::vector<IdrpRoute> slots;
+  std::size_t size = 0;
+
+  IdrpRoute& push() {
+    if (size == slots.size()) slots.emplace_back();
+    return slots[size++];
+  }
+};
 
 void IdrpNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
   // Parse the whole update before replacing the adj-RIB-in: a truncated
   // PDU must not masquerade as a (shorter) full-state update and
-  // implicitly withdraw routes the sender still advertises.
+  // implicitly withdraw routes the sender still advertises. Routes are
+  // decoded and kept in per-thread scratch, so a count the bytes cannot
+  // back costs nothing.
   wire::Reader r(bytes);
   const std::uint8_t type = r.u8();
   const std::uint16_t count = r.u16();
@@ -277,41 +293,45 @@ void IdrpNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
     drop_malformed();
     return;
   }
-  std::vector<IdrpRoute> received;
-  received.reserve(count);
-  bool decode_failed = false;
+  thread_local IdrpRoute route;
+  thread_local KeptRoutes kept;
+  kept.size = 0;
   for (std::uint16_t i = 0; i < count; ++i) {
-    auto route = IdrpRoute::decode(r);
-    if (!route) {
-      decode_failed = true;
-      break;
+    if (!route.decode_from(r)) {
+      drop_malformed();
+      return;
     }
     // Receiver-side validation: path must start at the sender, must not
     // contain us (AD loop), and must serve at least one flow.
-    if (route->path.empty() || route->path.front() != from) continue;
-    if (std::find(route->path.begin(), route->path.end(), self()) !=
-        route->path.end()) {
+    if (route.path.empty() || route.path.front() != from) continue;
+    if (std::find(route.path.begin(), route.path.end(), self()) !=
+        route.path.end()) {
       continue;
     }
-    if (route->dst == self()) continue;
-    if (!route->attrs.usable()) continue;
+    if (route.dst == self()) continue;
+    if (!route.attrs.usable()) continue;
     if (config_.defend) {
-      defend_and_keep(from, std::move(*route), received);
+      defend_and_keep(from, route, kept);
     } else {
-      received.push_back(std::move(*route));
+      kept.push() = route;
     }
   }
-  if (decode_failed || !r.ok()) {
-    drop_malformed();
-    return;
-  }
-  adj_rib_in_[from.v] = std::move(received);
+  // Copy-assigned over the neighbor's previous routes, so their buffers
+  // are reused. A growing table moves into a buffer sized in whole steps
+  // of kAdjRibStep routes, keeping its routes' path buffers. Measured on
+  // the 1e4-AD scale profile's cold start (glibc malloc): exact-size
+  // growth left 19 MB of odd-sized freed buffers stranded in the heap,
+  // and copying every route afresh on growth cost 7 more allocations per
+  // event.
+  std::vector<IdrpRoute>& rib = adj_rib_in_[from.v];
+  rib.reserve((kept.size + kAdjRibStep - 1) / kAdjRibStep * kAdjRibStep);
+  rib.assign(kept.slots.begin(), kept.slots.begin() + kept.size);
   stale_nbrs_.erase(from.v);  // a full-table update IS the GR resync
   reselect_and_maybe_advertise();
 }
 
-void IdrpNode::defend_and_keep(AdId from, IdrpRoute route,
-                               std::vector<IdrpRoute>& kept) {
+void IdrpNode::defend_and_keep(AdId from, const IdrpRoute& route,
+                               KeptRoutes& kept) {
   // Neighbor-consistency rejection. The path must really end at the
   // claimed destination (a false-origin path=[liar] for someone else's
   // dst fails here) and every consecutive pair on it must be statically
@@ -327,7 +347,7 @@ void IdrpNode::defend_and_keep(AdId from, IdrpRoute route,
     }
   }
   if (route.path.size() == 1) {
-    kept.push_back(std::move(route));  // origin route: dst == from
+    kept.push() = route;  // origin route: dst == from
     return;
   }
   // Transit route: clamp to the sender's *registered* Policy Terms,
@@ -343,14 +363,18 @@ void IdrpNode::defend_and_keep(AdId from, IdrpRoute route,
     if (!t.prev_hops.contains(self())) continue;
     if (!t.next_hops.contains(next)) continue;
     if (!t.dests.contains(route.dst)) continue;
-    IdrpRoute clamped = route;
-    clamped.attrs.sources = intersect_sets(route.attrs.sources, t.sources);
-    clamped.attrs.qos_mask = route.attrs.qos_mask & t.qos_mask;
-    clamped.attrs.uci_mask = route.attrs.uci_mask & t.uci_mask;
-    clamped.attrs.hour_mask =
+    RouteAttrs clamped;
+    clamped.sources = intersect_sets(route.attrs.sources, t.sources);
+    clamped.qos_mask = route.attrs.qos_mask & t.qos_mask;
+    clamped.uci_mask = route.attrs.uci_mask & t.uci_mask;
+    clamped.hour_mask =
         route.attrs.hour_mask & hour_window_mask(t.hour_begin, t.hour_end);
-    if (!clamped.attrs.usable()) continue;
-    kept.push_back(std::move(clamped));
+    clamped.cost = route.attrs.cost;
+    if (!clamped.usable()) continue;
+    IdrpRoute& copy = kept.push();
+    copy.dst = route.dst;
+    copy.path = route.path;
+    copy.attrs = std::move(clamped);
     any = true;
   }
   if (!any) net().note_defense_rejection(self());
@@ -393,46 +417,104 @@ void IdrpNode::drop_neighbor(AdId neighbor) {
   reselect_and_maybe_advertise();
 }
 
+namespace {
+
+// Route selection's per-thread scratch, reused by every reselect on the
+// thread (the sharded backend runs nodes on worker threads).
+struct SelectScratch {
+  // Destination -> group number, in order of first appearance.
+  DenseMap<std::uint32_t, std::uint32_t> group_of;
+  // Each group's candidates in scan order; groups past group_of.size()
+  // are left over from earlier calls and keep their capacity.
+  std::vector<std::vector<const IdrpRoute*>> groups;
+  std::vector<const IdrpRoute*> chosen;
+};
+
+// Orders one destination's candidates shortest path first, then
+// cheapest, ties in scan order. An insertion sort: stable, and it needs
+// no buffer for the few candidates a destination has.
+void sort_candidates(std::span<const IdrpRoute*> run) {
+  const auto before = [](const IdrpRoute* a, const IdrpRoute* b) {
+    if (a->path.size() != b->path.size()) {
+      return a->path.size() < b->path.size();
+    }
+    return a->attrs.cost < b->attrs.cost;
+  };
+  for (std::size_t i = 1; i < run.size(); ++i) {
+    const IdrpRoute* cand = run[i];
+    std::size_t j = i;
+    for (; j > 0 && before(cand, run[j - 1]); --j) run[j] = run[j - 1];
+    run[j] = cand;
+  }
+}
+
+}  // namespace
+
 void IdrpNode::reselect_and_maybe_advertise() {
   // Rebuild loc-RIB from all adj-RIBs-in, keeping up to routes_per_dest
-  // policy-diverse routes per destination.
-  DenseMap<std::uint32_t, std::vector<IdrpRoute>> fresh;
-  if (config_.originate) {
-    IdrpRoute origin;
-    origin.dst = self();
-    fresh[self().v] = {origin};
-  }
-
-  DenseMap<std::uint32_t, std::vector<const IdrpRoute*>> candidates;
+  // policy-diverse routes per destination: our own origin first, then
+  // destinations in order of first appearance over the Adj-RIBs-in of
+  // neighbors we can reach.
+  thread_local SelectScratch s;
+  s.group_of.clear();
+  s.group_of.reserve(loc_rib_.size());
   for (const auto [nbr, routes] : adj_rib_in_) {
     // Routes from unreachable neighbors are unusable.
     const auto link = topo().find_link(self(), AdId{nbr});
     if (!link || !topo().link(*link).up) continue;
     for (const IdrpRoute& route : routes) {
-      candidates[route.dst.v].push_back(&route);
+      const auto next = static_cast<std::uint32_t>(s.group_of.size());
+      const auto [group, first] = s.group_of.try_emplace(route.dst.v, next);
+      if (first) {
+        if (group == s.groups.size()) s.groups.emplace_back();
+        s.groups[group].clear();
+      }
+      s.groups[group].push_back(&route);
     }
   }
-  for (auto [dst, cands] : candidates) {
-    std::stable_sort(cands.begin(), cands.end(),
-              [](const IdrpRoute* a, const IdrpRoute* b) {
-                if (a->path.size() != b->path.size()) {
-                  return a->path.size() < b->path.size();
-                }
-                return a->attrs.cost < b->attrs.cost;
-              });
-    std::vector<IdrpRoute>& kept = fresh[dst];
-    for (const IdrpRoute* cand : cands) {
-      if (kept.size() >= config_.routes_per_dest) break;
-      const bool redundant = std::any_of(
-          kept.begin(), kept.end(), [&](const IdrpRoute& k) {
-            return k.attrs.covers(cand->attrs);
-          });
-      if (!redundant) kept.push_back(*cand);
-    }
-    if (kept.empty()) fresh.erase(dst);
-  }
+  const std::size_t groups = s.group_of.size();
 
+  // A destination takes over its old entry, buffers and all: an
+  // unchanged selection is moved, and a changed one is copied over the
+  // old routes. The map itself is built afresh at its exact size: reusing
+  // its arrays across reselects (the node's own, or one per thread) grew
+  // them step by step through the cold start and left 20-23 MB of freed
+  // arrays stranded in the heap (glibc malloc, 1e4-AD scale profile).
+  DenseMap<std::uint32_t, std::vector<IdrpRoute>> fresh;
+  fresh.reserve(groups + 1);
+  const auto install = [&](std::uint32_t dst,
+                           std::span<const IdrpRoute* const> chosen) {
+    std::vector<IdrpRoute>& kept = fresh[dst];
+    if (std::vector<IdrpRoute>* old = loc_rib_.find(dst)) {
+      kept = std::move(*old);
+    }
+    kept.resize(chosen.size());
+    for (std::size_t i = 0; i < chosen.size(); ++i) {
+      if (!(kept[i] == *chosen[i])) kept[i] = *chosen[i];
+    }
+  };
+  if (config_.originate) {
+    IdrpRoute origin;
+    origin.dst = self();
+    const IdrpRoute* mine = &origin;
+    install(self().v, {&mine, 1});
+  }
+  for (std::uint32_t g = 0; g < groups; ++g) {
+    std::vector<const IdrpRoute*>& cands = s.groups[g];
+    sort_candidates(cands);
+    s.chosen.clear();
+    for (const IdrpRoute* cand : cands) {
+      if (s.chosen.size() >= config_.routes_per_dest) break;
+      const bool redundant = std::any_of(
+          s.chosen.begin(), s.chosen.end(), [&](const IdrpRoute* k) {
+            return k->attrs.covers(cand->attrs);
+          });
+      if (!redundant) s.chosen.push_back(cand);
+    }
+    if (!s.chosen.empty()) install(s.group_of.key_at(g), s.chosen);
+  }
   loc_rib_ = std::move(fresh);
+
   if (damper_.enabled()) note_dst_flaps();
   const std::uint64_t sig = rib_signature();
   if (sig != last_advertised_signature_) {

@@ -48,7 +48,8 @@ struct RouteAttrs {
   [[nodiscard]] bool usable() const noexcept;  // permits anything at all
 
   void encode(wire::Writer& w) const;
-  static RouteAttrs decode(wire::Reader& r);
+  // Decodes into this object, reusing its buffers (check r.ok()).
+  void decode_from(wire::Reader& r);
 
   friend bool operator==(const RouteAttrs&, const RouteAttrs&) = default;
 };
@@ -60,6 +61,10 @@ struct IdrpRoute {
 
   void encode(wire::Writer& w) const;
   static std::optional<IdrpRoute> decode(wire::Reader& r);
+  // decode() into this route, reusing its buffers; false on a short read.
+  bool decode_from(wire::Reader& r);
+
+  friend bool operator==(const IdrpRoute&, const IdrpRoute&) = default;
 };
 
 // The update-timing knobs come from PolicyDvConfig. Damping is per
@@ -142,6 +147,9 @@ class IdrpNode : public PolicyDvNode {
   void flush_stale(AdId neighbor) override;
 
  private:
+  // Routes an update keeps, in per-thread scratch (idrp_node.cpp).
+  struct KeptRoutes;
+
   void reselect_and_maybe_advertise();
   // Forget everything `neighbor` told us and reselect.
   void drop_neighbor(AdId neighbor);
@@ -149,11 +157,11 @@ class IdrpNode : public PolicyDvNode {
   // Defense filter for one received route (config_.defend only): checks
   // neighbor consistency and clamps to the sender's registered terms,
   // appending the surviving copies to `kept`.
-  void defend_and_keep(AdId from, IdrpRoute route,
-                       std::vector<IdrpRoute>& kept);
-  // Non-const: evaluating damping suppression at encode time performs
-  // reuse-threshold releases as a side effect.
-  [[nodiscard]] std::vector<std::uint8_t> encode_for(AdId neighbor);
+  void defend_and_keep(AdId from, const IdrpRoute& route, KeptRoutes& kept);
+  // The update for `neighbor`, in update_writer()'s buffer: valid until
+  // the next encode on this thread.
+  [[nodiscard]] const std::vector<std::uint8_t>& encode_for(
+      AdId neighbor) const;
   [[nodiscard]] std::uint64_t rib_signature() const;
 
   const PolicySet* policies_;

@@ -74,8 +74,8 @@ std::uint64_t lsa_auth_tag(const PolicyLsa& lsa, std::uint64_t key) {
 }
 
 std::size_t PolicyLsa::encoded_size() const {
-  // Fixed fields: origin, seq, three counts, the source-policy flag, auth.
-  std::size_t n = 23 + 8 * adjacencies.size() + 4 * attached_stubs.size();
+  std::size_t n = kMinEncodedSize + 8 * adjacencies.size() +
+                  4 * attached_stubs.size();
   for (const PolicyTerm& t : terms) n += t.encoded_size();
   if (has_source_policy) n += 7 + 4 * avoid.size();
   return n;

@@ -60,6 +60,9 @@ struct PolicyLsa {
   void encode(wire::Writer& w) const;
   static std::optional<PolicyLsa> decode(wire::Reader& r);
   [[nodiscard]] std::size_t encoded_size() const;
+  // The size of an LSA whose lists are all empty: origin, seq, three
+  // counts, the source-policy flag and auth.
+  static constexpr std::size_t kMinEncodedSize = 23;
 };
 
 // Keyed tag over the LSA's content (auth field excluded).

@@ -314,7 +314,8 @@ void OrwgNode::on_other_message(std::uint8_t type, AdId from,
       const std::uint16_t count = r.u16();
       std::vector<PolicyLsa> lsas;
       if (r.ok()) {
-        lsas.reserve(count);
+        lsas.reserve(std::min<std::size_t>(
+            count, r.remaining() / PolicyLsa::kMinEncodedSize));
         for (std::uint16_t i = 0; i < count && r.ok(); ++i) {
           auto lsa = PolicyLsa::decode(r);
           if (!lsa.has_value()) break;

@@ -46,6 +46,12 @@ class Writer {
     u32(static_cast<std::uint32_t>(v >> 32));
     u32(static_cast<std::uint32_t>(v));
   }
+  // Overwrites the u16 written at byte `pos`: a count known only once the
+  // items after it are written.
+  void u16_at(std::size_t pos, std::uint16_t v) {
+    buf_[pos] = static_cast<std::uint8_t>(v >> 8);
+    buf_[pos + 1] = static_cast<std::uint8_t>(v);
+  }
   // Length-prefixed (u16) byte string.
   void str(std::string_view v);
   // Length-prefixed (u16) list of u32 words; the buffer grows once.

@@ -55,8 +55,11 @@ inline std::ostream& operator<<(std::ostream& os, const HashPin& pin) {
   return os << "0x" << std::hex << pin.hash << std::dec << "ull";
 }
 
-inline HashPin fnv1a(std::string_view text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+// `from` continues an earlier digest, so a long stream can be folded a
+// piece at a time.
+inline HashPin fnv1a(std::string_view text,
+                     HashPin from = {0xcbf29ce484222325ULL}) {
+  std::uint64_t h = from.hash;
   for (const char c : text) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;
