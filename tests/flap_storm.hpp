@@ -21,9 +21,9 @@ namespace idr {
 constexpr std::uint64_t kBenchProfileSeed = 0x5ca1eULL;
 constexpr std::uint64_t kBenchStormSeed = 0x73746f726dULL;
 
-// Schedules the storm on `net` and runs the engine until it drains.
-inline void run_flap_storm(Network& net, Engine& engine,
-                           const Topology& topo) {
+// Schedules the storm on `injector`, which must outlive the run.
+inline void schedule_flap_storm(FailureInjector& injector, Engine& engine,
+                                const Topology& topo) {
   constexpr std::size_t kLinks = 2;
   constexpr std::uint32_t kCycles = 4;
   constexpr SimTime kPeriodMs = 200.0;
@@ -33,13 +33,19 @@ inline void run_flap_storm(Network& net, Engine& engine,
   }
   Prng prng(kBenchStormSeed);
   prng.shuffle(pool);
-  FailureInjector injector(net);
   const SimTime onset = engine.now() + kPeriodMs;
   for (std::size_t i = 0; i < std::min(kLinks, pool.size()); ++i) {
     const double phase =
         kPeriodMs * static_cast<double>(prng.below(1024)) / 1024.0;
     injector.flap_link(pool[i], onset + phase, kPeriodMs, 0.5, kCycles);
   }
+}
+
+// Schedules the storm on `net` and runs the engine until it drains.
+inline void run_flap_storm(Network& net, Engine& engine,
+                           const Topology& topo) {
+  FailureInjector injector(net);
+  schedule_flap_storm(injector, engine, topo);
   engine.run();
 }
 
