@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "util/dense_map.hpp"
@@ -81,6 +82,12 @@ class FlapDamper {
 
   [[nodiscard]] std::size_t suppressed_count(SimTime now);
   [[nodiscard]] const DampingStats& stats() const noexcept { return stats_; }
+  // Every key that has flapped at least once, in first-flap order; only
+  // these can be suppressed.
+  [[nodiscard]] const std::vector<std::uint64_t>& tracked_keys()
+      const noexcept {
+    return routes_.keys();
+  }
 
  private:
   struct RouteState {

@@ -106,12 +106,40 @@ bool IdrpRoute::decode_from(wire::Reader& r) {
   return r.ok();
 }
 
+namespace {
+
+const IdrpRoute& route_of(const IdrpRoute& route) { return route; }
+const IdrpRoute& route_of(const IdrpRoute* route) { return *route; }
+
+// One destination's routes (held, or chosen candidates) as an
+// order-independent summand of the loc-RIB signature.
+template <typename Routes>
+std::uint64_t dst_hash(std::uint32_t dst, const Routes& routes) {
+  std::uint64_t s = dst;
+  for (const auto& item : routes) {
+    const IdrpRoute& route = route_of(item);
+    for (AdId ad : route.path) s = splitmix64(s) ^ ad.v;
+    s = splitmix64(s) ^ route.attrs.cost;
+    s = splitmix64(s) ^ route.attrs.qos_mask;
+    s = splitmix64(s) ^ route.attrs.uci_mask;
+    s = splitmix64(s) ^ route.attrs.hour_mask;
+    s = splitmix64(s) ^
+        (route.attrs.sources.is_any() ? 0xffffu
+                                      : route.attrs.sources.members().size());
+    for (AdId m : route.attrs.sources.members()) s = splitmix64(s) ^ m.v;
+  }
+  return splitmix64(s);
+}
+
+}  // namespace
+
 void IdrpNode::start() {
   if (config_.originate) {
     // Originate own reachability: an empty path means "this AD".
     IdrpRoute origin;
     origin.dst = self();
     loc_rib_[self().v] = {origin};
+    rib_signature_ ^= dst_hash(self().v, loc_rib_[self().v]);
     advertise();
   }
   schedule_refresh();
@@ -264,8 +292,148 @@ void IdrpNode::advertise(MsgClass cls) {
   }
 }
 
+namespace {
+
+// Route selection's per-thread scratch, reused by every reselect on the
+// thread (the sharded backend runs nodes on worker threads). An update,
+// a link change or a dropped neighbor marks the destinations it may have
+// changed; the reselect that follows on the same thread consumes them.
+struct SelectScratch {
+  // Marked destination -> group number, in marking order.
+  DenseMap<std::uint32_t, std::uint32_t> group_of;
+  // Each group's candidates in scan order, then its chosen routes;
+  // groups past group_of.size() are left over from earlier calls and
+  // keep their capacity.
+  std::vector<std::vector<const IdrpRoute*>> groups;
+  // The loc-RIB's order may have changed: a usable table's destination
+  // sequence changed, or a table's usability or rank did.
+  bool order_stale = false;
+  // Where each destination's routes sit in the table being replaced,
+  // indexed by AD number; a slot is live only while its stamp is
+  // current, so forgetting them all is one increment.
+  struct Run {
+    std::uint32_t stamp = 0;
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
+  };
+  std::vector<Run> runs;
+  std::uint32_t stamp = 0;
+
+  std::uint32_t next_stamp() {
+    if (++stamp == 0) {
+      std::fill(runs.begin(), runs.end(), Run{});
+      stamp = 1;
+    }
+    return stamp;
+  }
+
+  void mark(AdId dst) {
+    const auto next = static_cast<std::uint32_t>(group_of.size());
+    const auto [group, first] = group_of.try_emplace(dst.v, next);
+    if (first) {
+      if (group == groups.size()) groups.emplace_back();
+      groups[group].clear();
+    }
+  }
+
+  // A whole table's candidates appear, vanish or move in the scan.
+  void mark_all(std::span<const IdrpRoute> routes) {
+    for (const IdrpRoute& route : routes) mark(route.dst);
+    if (!routes.empty()) order_stale = true;
+  }
+};
+
+SelectScratch& select_scratch() {
+  thread_local SelectScratch s;
+  return s;
+}
+
 // Adj-RIB-in capacity grows in steps of this many routes.
 constexpr std::size_t kAdjRibStep = 16;
+
+// Copy-assigned over a neighbor's previous routes, so their buffers are
+// reused. A growing table moves into a buffer sized in whole steps of
+// kAdjRibStep routes, keeping its routes' path buffers. Measured on the
+// 1e4-AD scale profile's cold start (glibc malloc): exact-size growth
+// left 19 MB of odd-sized freed buffers stranded in the heap, and
+// copying every route afresh on growth cost 7 more allocations per
+// event.
+void assign_table(std::vector<IdrpRoute>& table,
+                  std::span<const IdrpRoute> fresh) {
+  table.reserve((fresh.size() + kAdjRibStep - 1) / kAdjRibStep * kAdjRibStep);
+  table.assign(fresh.begin(), fresh.end());
+}
+
+// Replaces a usable table with `fresh`, marking each destination whose
+// routes in it changed: the run of routes the table lists for it. `ads`
+// bounds the destinations the run index holds. A table that lists a
+// destination in two places (a false-origin claim appended after the
+// honest routes) or an out-of-range one (a corrupted frame) is taken as
+// wholly changed.
+void replace_table(std::vector<IdrpRoute>& table,
+                   std::span<const IdrpRoute> fresh, std::size_t ads,
+                   SelectScratch& s) {
+  const auto same_dst = [](const IdrpRoute& a, const IdrpRoute& b) {
+    return a.dst == b.dst;
+  };
+  if (std::equal(table.begin(), table.end(), fresh.begin(), fresh.end(),
+                 same_dst)) {
+    // Same destinations in the same order: compare in place, and copy
+    // only the routes that changed.
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      if (table[i] == fresh[i]) continue;
+      s.mark(fresh[i].dst);
+      table[i] = fresh[i];
+    }
+    return;
+  }
+  s.order_stale = true;
+  const auto diff = [&] {
+    if (s.runs.size() < ads) s.runs.resize(ads);
+    const std::uint32_t in_old = s.next_stamp();
+    for (std::uint32_t i = 0; i < table.size(); ++i) {
+      if (table[i].dst.v >= ads) return false;
+      SelectScratch::Run& run = s.runs[table[i].dst.v];
+      if (run.stamp != in_old) {
+        run = {in_old, i, 1};
+      } else if (run.first + run.count == i) {
+        ++run.count;
+      } else {
+        return false;
+      }
+    }
+    const std::uint32_t seen = s.next_stamp();
+    for (std::size_t j = 0, end = 0; j < fresh.size(); j = end) {
+      const AdId dst = fresh[j].dst;
+      if (dst.v >= ads) return false;
+      end = j + 1;
+      while (end < fresh.size() && fresh[end].dst == dst) ++end;
+      SelectScratch::Run& run = s.runs[dst.v];
+      if (run.stamp == seen) return false;
+      if (run.stamp != in_old ||
+          !std::equal(table.begin() + run.first,
+                      table.begin() + run.first + run.count,
+                      fresh.begin() + j, fresh.begin() + end)) {
+        s.mark(dst);
+      }
+      run.stamp = seen;
+    }
+    for (const IdrpRoute& route : table) {  // gone from the new table
+      SelectScratch::Run& run = s.runs[route.dst.v];
+      if (run.stamp != in_old) continue;
+      s.mark(route.dst);
+      run.stamp = seen;
+    }
+    return true;
+  };
+  if (!diff()) {
+    s.mark_all(table);
+    s.mark_all(fresh);
+  }
+  assign_table(table, fresh);
+}
+
+}  // namespace
 
 // The routes an update keeps. Slots past `size` hold the buffers earlier
 // updates on this thread left, so decoding into them allocates only
@@ -316,16 +484,21 @@ void IdrpNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
       kept.push() = route;
     }
   }
-  // Copy-assigned over the neighbor's previous routes, so their buffers
-  // are reused. A growing table moves into a buffer sized in whole steps
-  // of kAdjRibStep routes, keeping its routes' path buffers. Measured on
-  // the 1e4-AD scale profile's cold start (glibc malloc): exact-size
-  // growth left 19 MB of odd-sized freed buffers stranded in the heap,
-  // and copying every route afresh on growth cost 7 more allocations per
-  // event.
-  std::vector<IdrpRoute>& rib = adj_rib_in_[from.v];
-  rib.reserve((kept.size + kAdjRibStep - 1) / kAdjRibStep * kAdjRibStep);
-  rib.assign(kept.slots.begin(), kept.slots.begin() + kept.size);
+  // The destinations whose candidates this update changes: those whose
+  // routes from `from` differ, or all of the old or new table's when the
+  // link's usability flipped since the last reselect.
+  SelectScratch& s = select_scratch();
+  AdjRibIn& rib = adj_rib_in_[from.v];
+  const std::span<const IdrpRoute> fresh(kept.slots.data(), kept.size);
+  const bool usable = link_usable(from);
+  if (rib.usable && usable) {
+    replace_table(rib.routes, fresh, topo().ad_count(), s);
+  } else {
+    if (rib.usable) s.mark_all(rib.routes);
+    if (usable) s.mark_all(fresh);
+    assign_table(rib.routes, fresh);
+    rib.usable = usable;
+  }
   stale_nbrs_.erase(from.v);  // a full-table update IS the GR resync
   reselect_and_maybe_advertise();
 }
@@ -413,22 +586,24 @@ void IdrpNode::flush_stale(AdId neighbor) {
 
 void IdrpNode::drop_neighbor(AdId neighbor) {
   last_sent_hash_.erase(neighbor.v);
-  adj_rib_in_.erase(neighbor.v);
+  if (const AdjRibIn* rib = adj_rib_in_.find(neighbor.v)) {
+    // Its candidates go, and erase() moves the last table into its
+    // slot, so that table's candidates now come earlier in the scan.
+    SelectScratch& s = select_scratch();
+    if (rib->usable) s.mark_all(rib->routes);
+    const AdjRibIn& last = adj_rib_in_.values().back();
+    if (&last != rib && last.usable) s.mark_all(last.routes);
+    adj_rib_in_.erase(neighbor.v);
+  }
   reselect_and_maybe_advertise();
 }
 
-namespace {
+bool IdrpNode::link_usable(AdId neighbor) const {
+  const auto link = topo().find_link(self(), neighbor);
+  return link && topo().link(*link).up;
+}
 
-// Route selection's per-thread scratch, reused by every reselect on the
-// thread (the sharded backend runs nodes on worker threads).
-struct SelectScratch {
-  // Destination -> group number, in order of first appearance.
-  DenseMap<std::uint32_t, std::uint32_t> group_of;
-  // Each group's candidates in scan order; groups past group_of.size()
-  // are left over from earlier calls and keep their capacity.
-  std::vector<std::vector<const IdrpRoute*>> groups;
-  std::vector<const IdrpRoute*> chosen;
-};
+namespace {
 
 // Orders one destination's candidates shortest path first, then
 // cheapest, ties in scan order. An insertion sort: stable, and it needs
@@ -448,140 +623,158 @@ void sort_candidates(std::span<const IdrpRoute*> run) {
   }
 }
 
+// Keeps, in front and in order, up to `limit` policy-diverse candidates:
+// each one not covered by a better one already kept.
+void choose(std::vector<const IdrpRoute*>& cands, std::size_t limit) {
+  sort_candidates(cands);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < cands.size() && kept < limit; ++i) {
+    const IdrpRoute* cand = cands[i];
+    const bool redundant =
+        std::any_of(cands.begin(), cands.begin() + kept,
+                    [&](const IdrpRoute* k) {
+                      return k->attrs.covers(cand->attrs);
+                    });
+    if (!redundant) cands[kept++] = cand;
+  }
+  cands.resize(kept);
+}
+
+bool same_routes(const std::vector<IdrpRoute>& held,
+                 const std::vector<const IdrpRoute*>& chosen) {
+  return std::equal(held.begin(), held.end(), chosen.begin(), chosen.end(),
+                    [](const IdrpRoute& a, const IdrpRoute* b) {
+                      return a == *b;
+                    });
+}
+
 }  // namespace
 
 void IdrpNode::reselect_and_maybe_advertise() {
-  // Rebuild loc-RIB from all adj-RIBs-in, keeping up to routes_per_dest
-  // policy-diverse routes per destination: our own origin first, then
-  // destinations in order of first appearance over the Adj-RIBs-in of
-  // neighbors we can reach.
-  thread_local SelectScratch s;
-  s.group_of.clear();
-  s.group_of.reserve(loc_rib_.size());
-  for (const auto [nbr, routes] : adj_rib_in_) {
-    // Routes from unreachable neighbors are unusable.
-    const auto link = topo().find_link(self(), AdId{nbr});
-    if (!link || !topo().link(*link).up) continue;
-    for (const IdrpRoute& route : routes) {
-      const auto next = static_cast<std::uint32_t>(s.group_of.size());
-      const auto [group, first] = s.group_of.try_emplace(route.dst.v, next);
-      if (first) {
-        if (group == s.groups.size()) s.groups.emplace_back();
-        s.groups[group].clear();
+  SelectScratch& s = select_scratch();
+  // Usability is read afresh: a link can change state with no
+  // on_link_change (notifications off) and with no reselect (a link
+  // coming up only advertises). An empty table adds nothing either way.
+  for (const auto [nbr, rib] : adj_rib_in_) {
+    if (rib.routes.empty()) continue;
+    const bool usable = link_usable(AdId{nbr});
+    if (usable == rib.usable) continue;
+    rib.usable = usable;
+    s.mark_all(rib.routes);
+  }
+
+  // The marked destinations' candidates, in scan order: the usable
+  // tables in Adj-RIB-in order, each in its own order.
+  const auto dirty = static_cast<std::uint32_t>(s.group_of.size());
+  if (dirty > 0) {
+    for (const auto [nbr, rib] : adj_rib_in_) {
+      if (!rib.usable) continue;
+      for (const IdrpRoute& route : rib.routes) {
+        if (const std::uint32_t* g = s.group_of.find(route.dst.v)) {
+          s.groups[*g].push_back(&route);
+        }
       }
-      s.groups[group].push_back(&route);
     }
   }
-  const std::size_t groups = s.group_of.size();
 
-  // A destination takes over its old entry, buffers and all: an
-  // unchanged selection is moved, and a changed one is copied over the
-  // old routes. The map itself is built afresh at its exact size: reusing
-  // its arrays across reselects (the node's own, or one per thread) grew
-  // them step by step through the cold start and left 20-23 MB of freed
-  // arrays stranded in the heap (glibc malloc, 1e4-AD scale profile).
-  DenseMap<std::uint32_t, std::vector<IdrpRoute>> fresh;
-  fresh.reserve(groups + 1);
-  const auto install = [&](std::uint32_t dst,
-                           std::span<const IdrpRoute* const> chosen) {
-    std::vector<IdrpRoute>& kept = fresh[dst];
-    if (std::vector<IdrpRoute>* old = loc_rib_.find(dst)) {
-      kept = std::move(*old);
+  // Select each marked destination: up to routes_per_dest policy-diverse
+  // routes. A destination that keeps its entry is updated in place, its
+  // buffers reused; one that gains or loses its entry changes the
+  // loc-RIB's destination set. Each change re-hashes that destination
+  // in the signature and, with damping, is one flap.
+  const SimTime now = net().engine().now();
+  std::size_t size = loc_rib_.size();
+  bool reorder = s.order_stale;
+  for (std::uint32_t g = 0; g < dirty; ++g) {
+    ++selections_;
+    std::vector<const IdrpRoute*>& chosen = s.groups[g];
+    choose(chosen, config_.routes_per_dest);
+    const std::uint32_t dst = s.group_of.key_at(g);
+    std::vector<IdrpRoute>* held = loc_rib_.find(dst);
+    if (held ? same_routes(*held, chosen) : chosen.empty()) continue;
+    const std::uint64_t old_hash = held ? dst_hash(dst, *held) : 0;
+    std::uint64_t new_hash = 0;
+    if (chosen.empty()) {
+      // The entry goes when the loc-RIB is rebuilt below.
+      --size;
+      reorder = true;
+    } else if (held) {
+      held->resize(chosen.size());
+      for (std::size_t i = 0; i < chosen.size(); ++i) {
+        if (!((*held)[i] == *chosen[i])) (*held)[i] = *chosen[i];
+      }
+      new_hash = dst_hash(dst, *held);
+    } else {
+      // The entry is made when the loc-RIB is rebuilt below.
+      ++size;
+      reorder = true;
+      new_hash = dst_hash(dst, chosen);
     }
-    kept.resize(chosen.size());
-    for (std::size_t i = 0; i < chosen.size(); ++i) {
-      if (!(kept[i] == *chosen[i])) kept[i] = *chosen[i];
+    rib_signature_ ^= old_hash ^ new_hash;
+    // A destination appearing for the first time is initial learning,
+    // not a flap (RFC 2439 shape) -- cold start accrues no penalty.
+    if (damper_.enabled() && held &&
+        (chosen.empty() || old_hash != new_hash)) {
+      damper_.note_flap(dst, now);
     }
-  };
-  if (config_.originate) {
-    IdrpRoute origin;
-    origin.dst = self();
-    const IdrpRoute* mine = &origin;
-    install(self().v, {&mine, 1});
   }
-  for (std::uint32_t g = 0; g < groups; ++g) {
-    std::vector<const IdrpRoute*>& cands = s.groups[g];
-    sort_candidates(cands);
-    s.chosen.clear();
-    for (const IdrpRoute* cand : cands) {
-      if (s.chosen.size() >= config_.routes_per_dest) break;
-      const bool redundant = std::any_of(
-          s.chosen.begin(), s.chosen.end(), [&](const IdrpRoute* k) {
-            return k->attrs.covers(cand->attrs);
-          });
-      if (!redundant) s.chosen.push_back(cand);
-    }
-    if (!s.chosen.empty()) install(s.group_of.key_at(g), s.chosen);
-  }
-  loc_rib_ = std::move(fresh);
 
-  if (damper_.enabled()) note_dst_flaps();
-  const std::uint64_t sig = rib_signature();
+  // Rebuild the loc-RIB in encode order when that order or its
+  // destination set may have changed: our own origin, then destinations
+  // by first appearance over the usable tables. It is built afresh at
+  // its exact size: growing it in place through the cold start left
+  // 20-23 MB of freed arrays stranded in the heap (glibc malloc, 1e4-AD
+  // scale profile).
+  if (reorder) {
+    DenseMap<std::uint32_t, std::vector<IdrpRoute>> fresh;
+    fresh.reserve(size);
+    if (std::vector<IdrpRoute>* own = loc_rib_.find(self().v)) {
+      fresh.try_emplace(self().v, std::move(*own));
+    }
+    for (const auto [nbr, rib] : adj_rib_in_) {
+      if (!rib.usable) continue;
+      for (const IdrpRoute& route : rib.routes) {
+        const std::uint32_t dst = route.dst.v;
+        if (fresh.contains(dst)) continue;
+        const std::uint32_t* g = s.group_of.find(dst);
+        if (g && s.groups[*g].empty()) continue;  // its entry goes
+        if (std::vector<IdrpRoute>* held = loc_rib_.find(dst)) {
+          fresh.try_emplace(dst, std::move(*held));
+          continue;
+        }
+        if (!g) continue;  // never chosen (routes_per_dest 0)
+        std::vector<IdrpRoute>& routes = fresh[dst];
+        routes.reserve(s.groups[*g].size());
+        for (const IdrpRoute* chosen : s.groups[*g]) routes.push_back(*chosen);
+      }
+    }
+    IDR_CHECK(fresh.size() == size);
+    loc_rib_ = std::move(fresh);
+  }
+  s.group_of.clear();
+  s.order_stale = false;
+
+  if (damper_.enabled()) maybe_schedule_release_check();
+  const std::uint64_t sig = advertised_signature();
   if (sig != last_advertised_signature_) {
     last_advertised_signature_ = sig;
     trigger_advertise();
   }
 }
 
-namespace {
-
-std::uint64_t dst_routes_signature(std::uint32_t dst,
-                                   const std::vector<IdrpRoute>& routes) {
-  std::uint64_t s = dst;
-  for (const IdrpRoute& route : routes) {
-    for (AdId ad : route.path) s = splitmix64(s) ^ ad.v;
-    s = splitmix64(s) ^ route.attrs.cost;
-    s = splitmix64(s) ^ route.attrs.qos_mask;
-    s = splitmix64(s) ^ route.attrs.uci_mask;
-    s = splitmix64(s) ^ route.attrs.hour_mask;
-    s = splitmix64(s) ^
-        (route.attrs.sources.is_any() ? 0xffffu
-                                      : route.attrs.sources.members().size());
-    for (AdId m : route.attrs.sources.members()) s = splitmix64(s) ^ m.v;
-  }
-  return s;
-}
-
-}  // namespace
-
-std::uint64_t IdrpNode::rib_signature() const {
+std::uint64_t IdrpNode::advertised_signature() const {
+  std::uint64_t sig = rib_signature_;
+  if (!damper_.enabled()) return sig;
+  // Pure query: the signature must not mutate damper state.
   const SimTime now = net().engine().now();
-  std::uint64_t acc = 0x9e3779b97f4a7c15ULL;
-  for (const auto [dst, routes] : loc_rib_) {
-    // Suppressed destinations are omitted from updates, so a change
-    // confined to one must not look like an advertisable change -- that
-    // is where damping cuts the flap cascade. (Pure query: signatures
-    // must not mutate damper state.)
-    if (damper_.enabled() && damper_.would_suppress(dst, now)) continue;
-    // order-independent combine across destinations
-    std::uint64_t s = dst_routes_signature(dst, routes);
-    acc ^= splitmix64(s);
+  for (const std::uint64_t key : damper_.tracked_keys()) {
+    const auto dst = static_cast<std::uint32_t>(key);
+    const std::vector<IdrpRoute>* routes = loc_rib_.find(dst);
+    if (routes && damper_.would_suppress(key, now)) {
+      sig ^= dst_hash(dst, *routes);
+    }
   }
-  return acc;
-}
-
-void IdrpNode::note_dst_flaps() {
-  // One flap per destination whose selected route set changed in this
-  // reselection (appearance, disappearance, or any path/attr change).
-  const SimTime now = net().engine().now();
-  DenseMap<std::uint32_t, std::uint64_t> fresh_sigs;
-  for (const auto [dst, routes] : loc_rib_) {
-    fresh_sigs[dst] = dst_routes_signature(dst, routes);
-  }
-  for (const auto [dst, sig] : fresh_sigs) {
-    if (AdId{dst} == self()) continue;
-    const std::uint64_t* old = dst_sig_.find(dst);
-    // A destination appearing for the first time is initial learning,
-    // not a flap (RFC 2439 shape) -- cold start accrues no penalty.
-    if (old && *old != sig) damper_.note_flap(dst, now);
-  }
-  for (const auto [dst, sig] : dst_sig_) {
-    (void)sig;
-    if (AdId{dst} == self()) continue;
-    if (!fresh_sigs.find(dst)) damper_.note_flap(dst, now);
-  }
-  dst_sig_ = std::move(fresh_sigs);
-  maybe_schedule_release_check();
+  return sig;
 }
 
 std::optional<AdId> IdrpNode::forward(const FlowSpec& flow, AdId prev) const {
@@ -632,7 +825,7 @@ std::size_t IdrpNode::loc_rib_routes() const noexcept {
 
 std::size_t IdrpNode::adj_rib_routes() const noexcept {
   std::size_t n = 0;
-  for (const auto [nbr, routes] : adj_rib_in_) n += routes.size();
+  for (const auto [nbr, rib] : adj_rib_in_) n += rib.routes.size();
   return n;
 }
 

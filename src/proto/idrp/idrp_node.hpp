@@ -130,6 +130,12 @@ class IdrpNode : public PolicyDvNode {
   [[nodiscard]] std::size_t loc_rib_routes() const noexcept;
   [[nodiscard]] std::size_t adj_rib_routes() const noexcept;
   [[nodiscard]] std::size_t routes_for(AdId dst) const;
+  // Per-destination route selections made so far. A reselect chooses
+  // only the destinations an update or a link change may have altered,
+  // so this counts the selection work itself.
+  [[nodiscard]] std::uint64_t selections() const noexcept {
+    return selections_;
+  }
 
   static constexpr std::uint8_t kMsgUpdate = 1;
 
@@ -149,11 +155,21 @@ class IdrpNode : public PolicyDvNode {
  private:
   // Routes an update keeps, in per-thread scratch (idrp_node.cpp).
   struct KeptRoutes;
+  // One neighbor's Adj-RIB-in: the routes of its latest full table, and
+  // whether its link was usable at the last reselect. The loc-RIB was
+  // built from the tables usable then, in their order.
+  struct AdjRibIn {
+    std::vector<IdrpRoute> routes;
+    bool usable = false;
+  };
 
+  // Reselect the destinations an update or link change marked (in
+  // idrp_node.cpp's per-thread scratch) and advertise if the advertised
+  // table changed.
   void reselect_and_maybe_advertise();
   // Forget everything `neighbor` told us and reselect.
   void drop_neighbor(AdId neighbor);
-  void note_dst_flaps();
+  [[nodiscard]] bool link_usable(AdId neighbor) const;
   // Defense filter for one received route (config_.defend only): checks
   // neighbor consistency and clamps to the sender's registered terms,
   // appending the surviving copies to `kept`.
@@ -162,22 +178,27 @@ class IdrpNode : public PolicyDvNode {
   // the next encode on this thread.
   [[nodiscard]] const std::vector<std::uint8_t>& encode_for(
       AdId neighbor) const;
-  [[nodiscard]] std::uint64_t rib_signature() const;
+  // rib_signature_ without the destinations damped now: they are left
+  // out of updates, so a change confined to them is not advertisable.
+  [[nodiscard]] std::uint64_t advertised_signature() const;
 
   const PolicySet* policies_;
   IdrpConfig config_;
   // Neighbors whose Adj-RIB-in is graceful-restart stale (retained while
   // the neighbor restarts; awaiting a resync update or the flush timer).
   std::unordered_set<std::uint32_t> stale_nbrs_;
-  // adj-RIB-in: routes as received, per neighbor (dense, insertion
-  // ordered: iteration order is a function of the event sequence only).
-  DenseMap<std::uint32_t, std::vector<IdrpRoute>> adj_rib_in_;
-  // loc-RIB: selected routes per destination.
+  // Per neighbor (dense, insertion ordered: iteration order is a
+  // function of the event sequence only).
+  DenseMap<std::uint32_t, AdjRibIn> adj_rib_in_;
+  // loc-RIB: selected routes per destination, in encode order: our own
+  // origin first, then destinations by first appearance over the usable
+  // Adj-RIBs-in.
   DenseMap<std::uint32_t, std::vector<IdrpRoute>> loc_rib_;
+  // Order-independent hash of the loc-RIB: a seed XOR each destination's
+  // routes hash, updated as selections change.
+  std::uint64_t rib_signature_ = 0x9e3779b97f4a7c15ULL;
   std::uint64_t last_advertised_signature_ = 0;
-  // Per-destination signature of the selected route set, maintained only
-  // while damping is enabled (change = one flap for that destination).
-  DenseMap<std::uint32_t, std::uint64_t> dst_sig_;
+  std::uint64_t selections_ = 0;
   // Per-neighbor hash of the last update actually sent; identical
   // re-advertisements are suppressed (real path-vector implementations
   // do the same, and it keeps triggered-update churn honest).

@@ -84,6 +84,11 @@ std::size_t PolicyLsa::encoded_size() const {
 bool PolicyLsdb::insert(PolicyLsa lsa) {
   const PolicyLsa* have = lsas_.find(lsa.origin.v);
   if (have && have->seq >= lsa.seq) return false;
+  if (!have || have->attached_stubs != lsa.attached_stubs) {
+    attached_stubs_listed_ += lsa.attached_stubs.size();
+    if (have) attached_stubs_listed_ -= have->attached_stubs.size();
+    ++attachments_version_;
+  }
   lsas_[lsa.origin.v] = std::move(lsa);
   ++version_;
   return true;

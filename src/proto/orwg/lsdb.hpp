@@ -78,6 +78,15 @@ class PolicyLsdb {
   [[nodiscard]] std::size_t size() const noexcept { return lsas_.size(); }
   [[nodiscard]] std::size_t total_terms() const noexcept;
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
+  // Bumped only when an accepted LSA is its origin's first or lists
+  // different attached stubs: what a stub-attachment index is built from.
+  [[nodiscard]] std::uint64_t attachments_version() const noexcept {
+    return attachments_version_;
+  }
+  // Attached stubs listed over all LSAs (a stub listed twice counts twice).
+  [[nodiscard]] std::size_t attached_stubs_listed() const noexcept {
+    return attached_stubs_listed_;
+  }
 
   template <typename Fn>
   void for_each(Fn&& fn) const {
@@ -90,6 +99,8 @@ class PolicyLsdb {
  private:
   DenseMap<std::uint32_t, PolicyLsa> lsas_;
   std::uint64_t version_ = 0;  // bumped on every accepted insert
+  std::uint64_t attachments_version_ = 0;
+  std::size_t attached_stubs_listed_ = 0;
 };
 
 // SynthesisView over a PolicyLsdb. A link is usable only if both

@@ -235,15 +235,17 @@ void PolicyLsNode::on_link_change(AdId neighbor, bool up) {
 
 AdId PolicyLsNode::attachment(AdId ad) {
   if (lsdb_.get(ad)) return ad;  // transit ADs own themselves
-  if (attach_version_ != lsdb_.version()) {
+  if (attach_version_ != lsdb_.attachments_version()) {
     attach_.clear();
+    attach_.reserve(lsdb_.attached_stubs_listed());
     lsdb_.for_each([&](const PolicyLsa& lsa) {
       for (AdId stub : lsa.attached_stubs) {
         auto [owner, inserted] = attach_.try_emplace(stub.v, lsa.origin.v);
         if (!inserted && lsa.origin.v < owner) owner = lsa.origin.v;
       }
     });
-    attach_version_ = lsdb_.version();
+    attach_version_ = lsdb_.attachments_version();
+    ++attachment_builds_;
   }
   const std::uint32_t* owner = attach_.find(ad.v);
   return owner ? AdId{*owner} : kNoAd;

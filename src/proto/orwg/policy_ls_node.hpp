@@ -74,6 +74,10 @@ class PolicyLsNode : public ProtoNode {
   [[nodiscard]] std::uint64_t gr_resyncs() const noexcept {
     return gr_resyncs_;
   }
+  // Times the stub-attachment index was (re)built.
+  [[nodiscard]] std::uint64_t attachment_builds() const noexcept {
+    return attachment_builds_;
+  }
 
   static constexpr std::uint8_t kMsgLsa = 1;
 
@@ -134,9 +138,11 @@ class PolicyLsNode : public ProtoNode {
   std::uint64_t originations_suppressed_ = 0;
   std::uint64_t gr_retained_ = 0;
   std::uint64_t gr_resyncs_ = 0;
-  // Lazily rebuilt stub -> owning transit AD index (hierarchical mode).
+  // Stub -> owning transit AD index (hierarchical mode), rebuilt lazily
+  // when the database's attachment listings change.
   DenseMap<std::uint32_t, std::uint32_t> attach_;
   std::uint64_t attach_version_ = ~0ull;
+  std::uint64_t attachment_builds_ = 0;
 };
 
 }  // namespace idr

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <ostream>
 #include <set>
 
+#include "core/scale_profile.hpp"
+#include "flap_storm.hpp"
 #include "policy/generator.hpp"
 #include "proto/dvsr/dvsr_node.hpp"
 #include "proto/idrp/idrp_node.hpp"
@@ -267,6 +271,51 @@ TEST_F(DvsrTest, LimitedToAdvertisedCandidates) {
   // campus0 sits under Reg-0 whose only parent is BB-West; every route
   // east must cross it, so no candidate qualifies.
   EXPECT_FALSE(path.has_value());
+}
+
+// --- the selection work gate ----------------------------------------------
+
+// Per-destination selections summed over every AD: once the cold start
+// drains, and over the flap storm after it.
+struct SelectionPin {
+  std::uint64_t converged = 0;
+  std::uint64_t storm = 0;
+  friend bool operator==(const SelectionPin&, const SelectionPin&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const SelectionPin& pin) {
+  return os << "{" << pin.converged << ", " << pin.storm << "}";
+}
+
+// An update reselects only the destinations whose routes it changed. On
+// the 1e3-AD scale profile (cold start, then run_flap_storm) the counts
+// are pinned exactly, and a storm update's selections are bounded far
+// below a full reselect's one per loc-RIB destination: a build that
+// reselects everything makes 64.1 per storm update here, this one 4.0.
+TEST(IdrpSelectionGate, ScaleProfileColdStartAndFlapStorm) {
+  ScaleProfile profile = make_scale_profile(1'000, kBenchProfileSeed);
+  Engine engine;
+  Network net(engine, profile.topo);
+  const Network::NodeFactory factory = make_scale_factory("idrp", profile);
+  for (const Ad& ad : profile.topo.ads()) net.attach(ad.id, factory(ad.id));
+  const auto selections = [&] {
+    std::uint64_t n = 0;
+    for (const Ad& ad : profile.topo.ads()) {
+      n += static_cast<const IdrpNode*>(net.node(ad.id))->selections();
+    }
+    return n;
+  };
+  net.start_all();
+  engine.run();
+  const std::uint64_t converged = selections();
+  const std::uint64_t delivered = net.total().msgs_delivered;
+  run_flap_storm(net, engine, profile.topo);
+  const std::uint64_t storm_updates = net.total().msgs_delivered - delivered;
+  const SelectionPin got{converged, selections() - converged};
+  EXPECT_EQ(got, (SelectionPin{68700, 25923}));
+  ASSERT_GT(storm_updates, 0u);
+  EXPECT_LE(got.storm, 8 * storm_updates)
+      << got.storm << " selections for " << storm_updates << " updates";
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/scale_profile.hpp"
 #include "policy/generator.hpp"
 #include "proto/orwg/orwg_node.hpp"
 #include "sim/engine.hpp"
@@ -354,6 +355,68 @@ TEST_F(OrwgTest, NoRouteReportedAsFailure) {
   OrwgNode* src = nodes_[flow.src.v];
   EXPECT_FALSE(src->send_flow(flow, 1));
   EXPECT_EQ(src->route_failures(), 1u);
+}
+
+// Hierarchical mode on the 1e3-AD scale profile: a node's stub-attachment
+// index is rebuilt only when some LSA's attachment listing changes, so a
+// transit-transit flap, which rewrites adjacencies alone, leaves it as it
+// was, and a stub's access-link flap detaches and re-attaches the stub.
+// (LS-HbH shares this code.)
+TEST(OrwgAttachmentIndex, FollowsAttachmentListingsOnly) {
+  ScaleProfile profile = make_scale_profile(1'000, 0x5ca1eULL);
+  const Topology& topo = profile.topo;
+  Engine engine;
+  Network net(engine, profile.topo);
+  const Network::NodeFactory factory = make_scale_factory("orwg", profile);
+  for (const Ad& ad : topo.ads()) net.attach(ad.id, factory(ad.id));
+  net.start_all();
+  engine.run();
+  const auto node = [&](AdId ad) {
+    return static_cast<OrwgNode*>(net.node(ad));
+  };
+  const AdId stub = profile.beacons.front();
+  const AdId parent = topo.neighbors(stub).front().neighbor;
+  const FlowSpec flow{profile.beacons.back(), stub, Qos::kDefault,
+                      UserClass::kResearch, 12};
+  // The source's parent resolves the route, through its index.
+  OrwgNode& resolver = *node(topo.neighbors(flow.src).front().neighbor);
+  const PolicyLsdb& db = resolver.lsdb();
+  const auto route_ends_at_parent = [&] {
+    const auto path = node(flow.src)->policy_route(flow);
+    return path && path->size() >= 2 && path->back() == stub &&
+           (*path)[path->size() - 2] == parent;
+  };
+  EXPECT_TRUE(route_ends_at_parent());
+
+  LinkId transit_link{};
+  for (const Link& l : topo.links()) {
+    if (topo.can_transit(l.a) && topo.can_transit(l.b)) {
+      transit_link = l.id;
+      break;
+    }
+  }
+  const std::uint64_t version = db.version();
+  const std::uint64_t attachments = db.attachments_version();
+  const std::uint64_t builds = resolver.attachment_builds();
+  EXPECT_GT(builds, 0u);
+  for (const bool up : {false, true}) {
+    net.set_link_state(transit_link, up);
+    engine.run();
+  }
+  EXPECT_GT(db.version(), version);
+  EXPECT_EQ(db.attachments_version(), attachments);
+  EXPECT_TRUE(route_ends_at_parent());
+  EXPECT_EQ(resolver.attachment_builds(), builds);
+
+  const LinkId access = topo.neighbors(stub).front().link;
+  net.set_link_state(access, false);
+  engine.run();
+  EXPECT_GT(db.attachments_version(), attachments);
+  EXPECT_FALSE(node(flow.src)->policy_route(flow));
+  net.set_link_state(access, true);
+  engine.run();
+  EXPECT_TRUE(route_ends_at_parent());
+  EXPECT_GT(resolver.attachment_builds(), builds);
 }
 
 }  // namespace

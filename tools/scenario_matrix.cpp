@@ -11,6 +11,7 @@
 // the matrices and options.
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -153,6 +154,20 @@ Converged converge(const std::string& arch, ScaleProfile& profile,
   return out;
 }
 
+// Cells smaller than this converge in 0.2-90 ms, under a shared host's
+// run-to-run noise: their wall time is the median of kTimedRuns cold
+// starts in one process, which must agree in every other field. Larger
+// cells run once.
+constexpr std::uint32_t kMedianBelowAds = 10'000;
+constexpr std::size_t kTimedRuns = 5;
+
+bool same_outcome(const Converged& a, const Converged& b) {
+  return a.events == b.events && a.convergence_ms == b.convergence_ms &&
+         a.msgs_sent == b.msgs_sent && a.bytes_sent == b.bytes_sent &&
+         a.fingerprint == b.fingerprint && a.probes == b.probes &&
+         a.probe_delivered == b.probe_delivered;
+}
+
 void run_scale(std::uint32_t max_ads, std::uint64_t seed,
                std::vector<Row>& rows) {
   for (const std::uint32_t size : {100u, 1'000u, 10'000u, 100'000u}) {
@@ -160,7 +175,19 @@ void run_scale(std::uint32_t max_ads, std::uint64_t seed,
     ScaleProfile profile = make_scale_profile(size, seed, kBeacons);
     for (const std::string& arch : design_point_names()) {
       const std::uint64_t rss_before_kb = peak_rss_kb();
-      const Converged c = converge(arch, profile, nullptr, 0, seed, kProbes);
+      Converged c = converge(arch, profile, nullptr, 0, seed, kProbes);
+      if (size < kMedianBelowAds) {
+        std::vector<double> wall_ms = {c.wall_ms};
+        while (wall_ms.size() < kTimedRuns) {
+          const Converged again =
+              converge(arch, profile, nullptr, 0, seed, kProbes);
+          IDR_CHECK_MSG(same_outcome(again, c),
+                        "scale: a repeated cold start diverged");
+          wall_ms.push_back(again.wall_ms);
+        }
+        std::sort(wall_ms.begin(), wall_ms.end());
+        c.wall_ms = wall_ms[kTimedRuns / 2];
+      }
       emit(rows,
            Row()
                .text("arch", arch)
