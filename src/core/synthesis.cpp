@@ -1,7 +1,6 @@
 #include "core/synthesis.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 #include "util/check.hpp"
@@ -23,44 +22,87 @@ std::optional<std::uint32_t> GroundTruthView::transit_cost(
   return policies_.transit_cost(ad, flow, prev, next);
 }
 
-std::vector<std::uint32_t> distances_to(const SynthesisView& view, AdId dst) {
-  constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> dist(view.ad_count(), kInf);
-  if (dst.v >= dist.size()) return dist;
-  dist[dst.v] = 0;
-  std::deque<AdId> frontier{dst};
-  while (!frontier.empty()) {
-    const AdId cur = frontier.front();
-    frontier.pop_front();
-    view.for_each_neighbor(cur, [&](AdId nbr, std::uint32_t) {
-      if (dist[nbr.v] != kInf) return;
-      dist[nbr.v] = dist[cur.v] + 1;
-      frontier.push_back(nbr);
-    });
-  }
-  return dist;
-}
-
 namespace {
 
 constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
 
+// Policy-free BFS from `dst` over the view's live links. `dist` covers
+// the view's ADs with every entry kInf on entry; the BFS sets the entries
+// of the ADs it reaches and lists those ADs in `reached`, in BFS order.
+void bfs_distances(const SynthesisView& view, AdId dst,
+                   std::vector<std::uint32_t>& dist,
+                   std::vector<AdId>& reached) {
+  reached.clear();
+  if (dst.v >= view.ad_count()) return;
+  dist[dst.v] = 0;
+  reached.push_back(dst);
+  for (std::size_t head = 0; head < reached.size(); ++head) {
+    const AdId cur = reached[head];
+    view.for_each_neighbor(cur, [&](AdId nbr, std::uint32_t) {
+      if (dist[nbr.v] != kInf) return;
+      dist[nbr.v] = dist[cur.v] + 1;
+      reached.push_back(nbr);
+    });
+  }
+}
+
+// A thread's search state, kept between searches and grown to the
+// largest view the thread has searched. Between searches every dist
+// entry is kInf and every visited flag clear, so a search resets only
+// what it touched: the ADs its BFS reached and its avoid list.
+struct SearchScratch {
+  std::vector<std::uint32_t> dist;
+  std::vector<bool> visited;
+  std::vector<AdId> reached;
+  bool in_use = false;
+};
+
+SearchScratch& search_scratch() {
+  thread_local SearchScratch s;
+  return s;
+}
+
 class Searcher {
  public:
   Searcher(const SynthesisView& view, const FlowSpec& flow,
-           const SynthesisOptions& options)
+           const SynthesisOptions& options, SearchScratch& scratch)
       : view_(view),
         flow_(flow),
         options_(options),
-        dist_to_dst_(distances_to(view, flow.dst)),
-        visited_(view.ad_count(), false) {
+        ad_count_(view.ad_count()),
+        scratch_(scratch),
+        dist_to_dst_(scratch.dist),
+        visited_(scratch.visited) {
+    IDR_CHECK_MSG(!scratch_.in_use,
+                  "synthesize_route re-entered on one thread");
+    scratch_.in_use = true;
+    if (dist_to_dst_.size() < ad_count_) {
+      dist_to_dst_.resize(ad_count_, kInf);
+      visited_.resize(ad_count_, false);
+    }
+    bfs_distances(view, flow.dst, dist_to_dst_, scratch_.reached);
     for (AdId ad : options_.avoid) {
-      if (ad.v < visited_.size()) visited_[ad.v] = true;  // never enter
+      if (ad.v < ad_count_) visited_[ad.v] = true;  // never enter
     }
     // Avoid lists constrain transit only; endpoints are always allowed.
-    if (flow.src.v < visited_.size()) visited_[flow.src.v] = false;
-    if (flow.dst.v < visited_.size()) visited_[flow.dst.v] = false;
+    if (flow.src.v < ad_count_) visited_[flow.src.v] = false;
+    if (flow.dst.v < ad_count_) visited_[flow.dst.v] = false;
   }
+
+  // Restores the scratch's between-searches state. The search unmarks
+  // every AD it enters on its way back, so only the avoided ADs and the
+  // source are still marked.
+  ~Searcher() {
+    for (AdId ad : scratch_.reached) dist_to_dst_[ad.v] = kInf;
+    for (AdId ad : options_.avoid) {
+      if (ad.v < ad_count_) visited_[ad.v] = false;
+    }
+    if (flow_.src.v < ad_count_) visited_[flow_.src.v] = false;
+    scratch_.in_use = false;
+  }
+
+  Searcher(const Searcher&) = delete;
+  Searcher& operator=(const Searcher&) = delete;
 
   SynthesisResult run() {
     if (flow_.src.v >= view_.ad_count() || flow_.dst.v >= view_.ad_count() ||
@@ -165,8 +207,10 @@ class Searcher {
   const SynthesisView& view_;
   const FlowSpec& flow_;
   const SynthesisOptions& options_;
-  std::vector<std::uint32_t> dist_to_dst_;
-  std::vector<bool> visited_;
+  const std::size_t ad_count_;
+  SearchScratch& scratch_;
+  std::vector<std::uint32_t>& dist_to_dst_;  // scratch_.dist
+  std::vector<bool>& visited_;               // scratch_.visited
   std::vector<AdId> path_;
   SynthesisResult result_;
   bool budget_hit_ = false;
@@ -175,11 +219,18 @@ class Searcher {
 
 }  // namespace
 
+std::vector<std::uint32_t> distances_to(const SynthesisView& view, AdId dst) {
+  std::vector<std::uint32_t> dist(view.ad_count(), kInf);
+  std::vector<AdId> reached;
+  bfs_distances(view, dst, dist, reached);
+  return dist;
+}
+
 SynthesisResult synthesize_route(const SynthesisView& view,
                                  const FlowSpec& flow,
                                  const SynthesisOptions& options) {
   IDR_CHECK(options.max_hops >= 2);
-  Searcher searcher(view, flow, options);
+  Searcher searcher(view, flow, options, search_scratch());
   return searcher.run();
 }
 

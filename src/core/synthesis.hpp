@@ -38,7 +38,8 @@ class SynthesisView {
 
   [[nodiscard]] virtual std::size_t ad_count() const = 0;
 
-  // Enumerate live neighbors of `ad` with the link metric.
+  // Enumerate live neighbors of `ad` with the link metric. Every
+  // neighbor id is below ad_count().
   virtual void for_each_neighbor(
       AdId ad,
       const std::function<void(AdId neighbor, std::uint32_t metric)>& fn)
@@ -105,12 +106,17 @@ struct SynthesisResult {
   [[nodiscard]] bool found() const noexcept { return !path.empty(); }
 };
 
+// The search works in per-thread scratch sized to the largest view the
+// thread has searched, so a call does work in proportion to the part of
+// the view it reaches, not to ad_count(). A view's callbacks must not
+// call synthesize_route again on the same thread (IDR_CHECK).
 SynthesisResult synthesize_route(const SynthesisView& view,
                                  const FlowSpec& flow,
                                  const SynthesisOptions& options = {});
 
 // Policy-free hop distances to `dst` over the view's live links (the
-// heuristic the search uses; exposed for tests and benches).
+// heuristic the search uses, from the same BFS; exposed for tests and
+// benches).
 std::vector<std::uint32_t> distances_to(const SynthesisView& view, AdId dst);
 
 }  // namespace idr

@@ -167,8 +167,15 @@ const std::vector<std::uint8_t>& IdrpNode::encode_for(AdId neighbor) const {
     ++count;
   };
   const auto own_terms = policies_->terms(self());
+  // Re-advertising a learned route takes one of our Policy Terms; only
+  // the tamper and leak lies emit without one. A node with no terms
+  // that tells neither emits its own origin alone.
+  const bool origin_only = own_terms.empty() &&
+                           mis != Misbehavior::kTamper &&
+                           mis != Misbehavior::kRouteLeak;
   for (const auto [dst_v, routes] : loc_rib_) {
     const AdId dst{dst_v};
+    if (origin_only && dst != self()) continue;
     // A damped destination is simply left out: per-neighbor full-table
     // updates make omission an implicit withdrawal, so downstream churn
     // stops after one stable update while we keep forwarding locally.

@@ -85,8 +85,6 @@ bool PolicyLsdb::insert(PolicyLsa lsa) {
   const PolicyLsa* have = lsas_.find(lsa.origin.v);
   if (have && have->seq >= lsa.seq) return false;
   if (!have || have->attached_stubs != lsa.attached_stubs) {
-    attached_stubs_listed_ += lsa.attached_stubs.size();
-    if (have) attached_stubs_listed_ -= have->attached_stubs.size();
     ++attachments_version_;
   }
   lsas_[lsa.origin.v] = std::move(lsa);
@@ -107,22 +105,56 @@ std::size_t PolicyLsdb::total_terms() const noexcept {
   return n;
 }
 
-void LsdbView::for_each_neighbor(
-    AdId ad, const std::function<void(AdId, std::uint32_t)>& fn) const {
-  const PolicyLsa* lsa = db_.get(ad);
-  if (!lsa) return;
-  for (const PolicyLsaAdjacency& adj : lsa->adjacencies) {
-    // Bidirectional check: the neighbor must advertise the link back.
-    const PolicyLsa* back = db_.get(adj.neighbor);
-    if (!back) continue;
-    bool confirmed = false;
-    for (const PolicyLsaAdjacency& rev : back->adjacencies) {
-      if (rev.neighbor == ad) {
-        confirmed = true;
-        break;
+std::span<const PolicyLsaAdjacency> PolicyLsdb::confirmed_adjacencies(
+    AdId origin) const {
+  const PolicyLsa* lsa = lsas_.find(origin.v);
+  if (!lsa) return {};
+  if (!adjacency_index_) adjacency_index_ = std::make_unique<AdjacencyIndex>();
+  if (adjacency_index_->version != version_) build_adjacency_index();
+  const AdjacencyIndex& index = *adjacency_index_;
+  // lsas_ keeps its LSAs in one vector, in insertion order.
+  const auto i = static_cast<std::size_t>(lsa - lsas_.values().data());
+  return std::span(index.adjacencies)
+      .subspan(index.offsets[i], index.offsets[i + 1] - index.offsets[i]);
+}
+
+void PolicyLsdb::build_adjacency_index() const {
+  // Each advertised direction origin -> neighbor as one sortable key; an
+  // adjacency is confirmed when its reverse direction is advertised too.
+  const auto direction = [](AdId from, AdId to) {
+    return (static_cast<std::uint64_t>(from.v) << 32) | to.v;
+  };
+  std::vector<std::uint64_t> advertised;
+  for (const PolicyLsa& lsa : lsas_.values()) {
+    for (const PolicyLsaAdjacency& adj : lsa.adjacencies) {
+      advertised.push_back(direction(lsa.origin, adj.neighbor));
+    }
+  }
+  std::sort(advertised.begin(), advertised.end());
+  AdjacencyIndex& index = *adjacency_index_;
+  index.offsets.clear();
+  index.adjacencies.clear();
+  index.offsets.reserve(lsas_.size() + 1);
+  index.offsets.push_back(0);
+  for (const PolicyLsa& lsa : lsas_.values()) {
+    for (const PolicyLsaAdjacency& adj : lsa.adjacencies) {
+      if (std::binary_search(advertised.begin(), advertised.end(),
+                             direction(adj.neighbor, lsa.origin))) {
+        index.adjacencies.push_back(adj);
       }
     }
-    if (confirmed) fn(adj.neighbor, adj.metric);
+    index.offsets.push_back(
+        static_cast<std::uint32_t>(index.adjacencies.size()));
+  }
+  index.version = version_;
+  ++index.builds;
+}
+
+void LsdbView::for_each_neighbor(
+    AdId ad, const std::function<void(AdId, std::uint32_t)>& fn) const {
+  if (ad.v >= ad_count_) return;
+  for (const PolicyLsaAdjacency& adj : db_.confirmed_adjacencies(ad)) {
+    if (adj.neighbor.v < ad_count_) fn(adj.neighbor, adj.metric);
   }
 }
 

@@ -11,7 +11,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/synthesis.hpp"
@@ -83,9 +85,16 @@ class PolicyLsdb {
   [[nodiscard]] std::uint64_t attachments_version() const noexcept {
     return attachments_version_;
   }
-  // Attached stubs listed over all LSAs (a stub listed twice counts twice).
-  [[nodiscard]] std::size_t attached_stubs_listed() const noexcept {
-    return attached_stubs_listed_;
+
+  // The adjacencies of `origin`'s LSA that are confirmed -- the neighbor's
+  // own LSA lists `origin` back -- in the order the LSA lists them; empty
+  // when `origin` has no LSA. Read from an index rebuilt on the first
+  // read after version() moves; the span is valid until the next insert.
+  [[nodiscard]] std::span<const PolicyLsaAdjacency> confirmed_adjacencies(
+      AdId origin) const;
+  // Times the confirmed-adjacency index was (re)built.
+  [[nodiscard]] std::uint64_t adjacency_builds() const noexcept {
+    return adjacency_index_ ? adjacency_index_->builds : 0;
   }
 
   template <typename Fn>
@@ -97,15 +106,31 @@ class PolicyLsdb {
   }
 
  private:
+  // Every LSA's confirmed adjacencies as one CSR: LSA i (in lsas_'s
+  // insertion order, which inserts never reorder) owns
+  // adjacencies[offsets[i], offsets[i + 1]).
+  struct AdjacencyIndex {
+    std::uint64_t version = ~0ull;  // version_ it was built at
+    std::uint64_t builds = 0;
+    std::vector<std::uint32_t> offsets;
+    std::vector<PolicyLsaAdjacency> adjacencies;
+  };
+
+  void build_adjacency_index() const;
+
   DenseMap<std::uint32_t, PolicyLsa> lsas_;
   std::uint64_t version_ = 0;  // bumped on every accepted insert
   std::uint64_t attachments_version_ = 0;
-  std::size_t attached_stubs_listed_ = 0;
+  // Behind a pointer: only a database that is read gets one, so the
+  // empty databases of hierarchical stubs stay their size.
+  mutable std::unique_ptr<AdjacencyIndex> adjacency_index_;
 };
 
 // SynthesisView over a PolicyLsdb. A link is usable only if both
-// endpoints currently advertise it (bidirectional check); transit
-// permission comes from the advertised Policy Terms -- unless a
+// endpoints currently advertise it (bidirectional check), and only
+// between ADs below `ad_count`: LSA ids come off the wire, and one past
+// the topology names no AD. Transit permission comes from the
+// advertised Policy Terms -- unless a
 // `registry` is supplied, in which case transit permission is taken
 // from that configured PolicySet instead of from what the origin
 // *claims* in its LSA. The registry stands in for out-of-band policy

@@ -1,5 +1,7 @@
 #include "proto/orwg/policy_ls_node.hpp"
 
+#include <algorithm>
+
 namespace idr {
 
 void PolicyLsNode::start() {
@@ -236,19 +238,19 @@ void PolicyLsNode::on_link_change(AdId neighbor, bool up) {
 AdId PolicyLsNode::attachment(AdId ad) {
   if (lsdb_.get(ad)) return ad;  // transit ADs own themselves
   if (attach_version_ != lsdb_.attachments_version()) {
-    attach_.clear();
-    attach_.reserve(lsdb_.attached_stubs_listed());
+    attach_.assign(topo().ad_count(), AdId::kInvalid);
     lsdb_.for_each([&](const PolicyLsa& lsa) {
       for (AdId stub : lsa.attached_stubs) {
-        auto [owner, inserted] = attach_.try_emplace(stub.v, lsa.origin.v);
-        if (!inserted && lsa.origin.v < owner) owner = lsa.origin.v;
+        // Listings come off the wire: an id past the topology is no AD.
+        if (stub.v >= attach_.size()) continue;
+        std::uint32_t& owner = attach_[stub.v];
+        owner = std::min(owner, lsa.origin.v);
       }
     });
     attach_version_ = lsdb_.attachments_version();
     ++attachment_builds_;
   }
-  const std::uint32_t* owner = attach_.find(ad.v);
-  return owner ? AdId{*owner} : kNoAd;
+  return ad.v < attach_.size() ? AdId{attach_[ad.v]} : kNoAd;
 }
 
 std::optional<AdId> PolicyLsNode::stub_next_hop(AdId dst) const {

@@ -20,7 +20,6 @@
 #include "policy/database.hpp"
 #include "proto/common/node.hpp"
 #include "proto/orwg/lsdb.hpp"
-#include "util/dense_map.hpp"
 
 namespace idr {
 
@@ -138,9 +137,10 @@ class PolicyLsNode : public ProtoNode {
   std::uint64_t originations_suppressed_ = 0;
   std::uint64_t gr_retained_ = 0;
   std::uint64_t gr_resyncs_ = 0;
-  // Stub -> owning transit AD index (hierarchical mode), rebuilt lazily
+  // Stub -> owning transit AD (hierarchical mode), indexed by AdId over
+  // the topology (AdId::kInvalid: no LSA lists the AD), rebuilt lazily
   // when the database's attachment listings change.
-  DenseMap<std::uint32_t, std::uint32_t> attach_;
+  std::vector<std::uint32_t> attach_;
   std::uint64_t attach_version_ = ~0ull;
   std::uint64_t attachment_builds_ = 0;
 };

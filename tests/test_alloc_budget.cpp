@@ -9,7 +9,9 @@
 //    entries that really change;
 //  * every decoder that sizes a buffer from a u16 count on the wire: a
 //    6-byte frame claiming 0xffff entries is dropped as malformed
-//    without allocating for entries that are not there.
+//    without allocating for entries that are not there;
+//  * route synthesis: a search allocates for the part of the view it
+//    reaches, not for the view's AD count.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -22,6 +24,7 @@
 #include <string>
 
 #include "core/scale_profile.hpp"
+#include "core/synthesis.hpp"
 #include "flap_storm.hpp"
 #include "proto/dv/dv_node.hpp"
 #include "proto/ecma/ecma_node.hpp"
@@ -178,6 +181,43 @@ TEST(AllocBudget, CountClaimingMoreThanTheFrameHoldsAllocatesLittle) {
     SCOPED_TRACE(c.decoder);
     const Allocs got = deliver_claim(std::move(c.node), c.type);
     EXPECT_LE(got.bytes, kFewKb);
+  }
+}
+
+// A view of 1e6 ADs whose only live links form the chain 0-1-2-3-4.
+class ChainView final : public SynthesisView {
+ public:
+  static constexpr std::uint32_t kChain = 5;
+
+  [[nodiscard]] std::size_t ad_count() const override { return 1'000'000; }
+  void for_each_neighbor(
+      AdId ad, const std::function<void(AdId, std::uint32_t)>& fn)
+      const override {
+    if (ad.v >= kChain) return;
+    if (ad.v > 0) fn(AdId{ad.v - 1}, 1);
+    if (ad.v + 1 < kChain) fn(AdId{ad.v + 1}, 1);
+  }
+  [[nodiscard]] std::optional<std::uint32_t> transit_cost(
+      AdId, const FlowSpec&, AdId, AdId) const override {
+    return 1;
+  }
+};
+
+// Synthesis keeps its distance and visited arrays in per-thread scratch
+// that the thread's first call sizes, so later calls over a 1e6-AD view
+// allocate only for the five ADs they reach: 19 allocations, 444 bytes
+// per call. Code that allocated both arrays per call made 23 allocations,
+// 4,126,020 bytes, per call here.
+TEST(AllocBudget, SynthesisAllocatesForTheReachedGraph) {
+  const ChainView view;
+  const FlowSpec flow{AdId{0}, AdId{ChainView::kChain - 1}};
+  ASSERT_TRUE(synthesize_route(view, flow).found());
+  for (int i = 0; i < 3; ++i) {
+    SynthesisResult result;
+    const Allocs got =
+        count_allocs([&] { result = synthesize_route(view, flow); });
+    EXPECT_EQ(result.path.size(), ChainView::kChain);
+    EXPECT_LE(got.bytes, 64u * 1024) << got.calls << " allocations";
   }
 }
 

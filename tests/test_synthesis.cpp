@@ -156,6 +156,55 @@ TEST_F(SynthesisTest, SrcEqualsDstYieldsNothing) {
   EXPECT_FALSE(synthesize_route(view, flow).found());
 }
 
+// The search's per-thread scratch is shared by every search on the
+// thread, so an avoid list must leave no mark behind for the next one.
+TEST_F(SynthesisTest, AvoidListLeavesNoMarkForTheNextSearch) {
+  GroundTruthView view(fig_.topo, policies_);
+  const FlowSpec flow{fig_.campus[0], fig_.campus[6]};
+  const SynthesisResult plain = synthesize_route(view, flow);
+  ASSERT_GE(plain.path.size(), 3u);
+  SynthesisOptions avoiding;
+  avoiding.avoid = {plain.path[1]};
+  const SynthesisResult detour = synthesize_route(view, flow, avoiding);
+  EXPECT_NE(detour.path, plain.path);
+  const SynthesisResult again = synthesize_route(view, flow);
+  EXPECT_EQ(again.path, plain.path);
+  EXPECT_EQ(again.expansions, plain.expansions);
+}
+
+// A view whose neighbor walk starts a second search on the same thread.
+class ReentrantView final : public SynthesisView {
+ public:
+  explicit ReentrantView(const SynthesisView& base) : base_(base) {}
+  [[nodiscard]] std::size_t ad_count() const override {
+    return base_.ad_count();
+  }
+  void for_each_neighbor(
+      AdId ad, const std::function<void(AdId, std::uint32_t)>& fn)
+      const override {
+    (void)synthesize_route(base_, FlowSpec{ad, AdId{0}});
+    base_.for_each_neighbor(ad, fn);
+  }
+  [[nodiscard]] std::optional<std::uint32_t> transit_cost(
+      AdId ad, const FlowSpec& flow, AdId prev, AdId next) const override {
+    return base_.transit_cost(ad, flow, prev, next);
+  }
+
+ private:
+  const SynthesisView& base_;
+};
+
+using SynthesisDeathTest = SynthesisTest;
+
+// Two searches would share one scratch: the nested one aborts instead.
+TEST_F(SynthesisDeathTest, NestedSearchOnOneThreadAborts) {
+  const GroundTruthView base(fig_.topo, policies_);
+  const ReentrantView view(base);
+  EXPECT_DEATH(
+      (void)synthesize_route(view, FlowSpec{fig_.campus[0], fig_.campus[6]}),
+      "re-entered");
+}
+
 class OracleTest : public SynthesisTest {};
 
 TEST_F(OracleTest, ExistsMatchesBestRoute) {
